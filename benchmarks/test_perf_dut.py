@@ -5,12 +5,11 @@ golden ISS went vectorised (PERF-GOLDEN): the scalar cores stepped
 instruction-by-instruction while the golden side ran lockstep lanes.  This
 micro-benchmark pins the batched structure-of-arrays DUT engines'
 advantage, parametrised over every core kind with a batch engine in
-``ENGINE_REGISTRY`` (Rocket's ``DutBatchSimulator``, BOOM's
-``BoomBatchSimulator``): a fixed batch of random test programs is executed
-by the scalar core and by the batch engine across a lane-width ladder
-(8/32/128), measuring tests/sec on identical work — bit-identical traces
-*and* coverage reports, in fact (see ``tests/soc/test_batch.py`` and
-``tests/soc/test_batch_boom.py``).
+``ENGINE_REGISTRY`` (today only Rocket's ``DutBatchSimulator``): a fixed
+batch of random test programs is executed by the scalar core and by the
+batch engine across a lane-width ladder (8/32/128), measuring tests/sec on
+identical work — bit-identical traces *and* coverage reports, in fact (see
+``tests/soc/test_batch.py``).
 
 Each parametrisation merges its ladder into the shared ``BENCH_dut.json``
 under ``cores.<kind>``, so one artifact carries the whole matrix; rungs
@@ -23,11 +22,7 @@ are single-threaded pure compute (the lane width is a batch size, not
 parallelism — everything here runs on one core), so minimum wall-clock is
 the measurement least polluted by scheduler noise on shared machines.  The
 acceptance gate (>= 2x somewhere on the ladder at width >= 32, per kind)
-sits well under the quiet-machine headroom for the same reason.  BOOM
-clears it on the back of the analytic clean-handler fast-forward: random
-bodies are trap-chain-heavy, and collapsing each six-instruction handler
-pass into one vectorised step removes most of the rounds the lockstep
-ladder would otherwise spend on untraced handler commits.
+sits well under the quiet-machine headroom for the same reason.
 """
 
 from __future__ import annotations

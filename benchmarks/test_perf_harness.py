@@ -108,8 +108,7 @@ def test_harness_tests_per_sec():
         "benchmark": "harness_tests_per_sec",
         "batch": BATCH,
         "body_instructions": BODY_INSTRUCTIONS,
-        # Rocket arm; BOOM rides the same lane plumbing (see BENCH_dut.json
-        # for the per-kind batched-DUT ladders).
+        # Rocket arm: the only kind with a batched DUT engine.
         "harness_kind": "rocket",
         "golden_lanes": GOLDEN_LANES,
         "dut_lanes": DUT_LANES,

@@ -5,11 +5,7 @@
 on BOOM.  This example fuzzes the BOOM model and shows which condition arms
 remain uncovered — on BOOM that residue is essentially the debug logic.
 
-Run:  python examples/explore_boom.py [--golden-lanes N] [--dut-lanes N]
-
-Lane widths are pure perf knobs (``BoomBatchSimulator`` is bit-identical
-to the scalar core): the coverage numbers below are the same at any
-width; only wall-clock changes.
+Run:  python examples/explore_boom.py [--golden-lanes N]
 """
 
 import argparse
@@ -25,9 +21,6 @@ parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--golden-lanes", type=int, default=0, metavar="N",
                     help="batched golden engine lane width "
                          "(0 = scalar golden, the default)")
-parser.add_argument("--dut-lanes", type=int, default=0, metavar="N",
-                    help="batched BOOM DUT engine lane width "
-                         "(0 = scalar DUT, the default)")
 args = parser.parse_args()
 
 print("training ChatFuzz...")
@@ -41,8 +34,7 @@ pipeline = ChatFuzzPipeline(PipelineConfig(
 pipeline.run_all(make_rocket_harness())
 
 print("fuzzing the BOOM model...")
-harness = make_boom_harness(golden_lanes=args.golden_lanes,
-                            dut_lanes=args.dut_lanes)
+harness = make_boom_harness(golden_lanes=args.golden_lanes)
 loop = FuzzLoop(pipeline.make_generator(seed=21), harness, batch_size=20)
 result = Campaign(loop, "chatfuzz-boom").run_tests(250)
 

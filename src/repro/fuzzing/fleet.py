@@ -1524,10 +1524,7 @@ class FleetRunner:
             box["universe"] = max(box["universe"],
                                   result.final_coverage.nbits)
             reward = gained / box["universe"] if box["universe"] else 0.0
-            if event_driven:
-                scheduler.on_slice_complete(arm, ran, reward)
-            else:
-                scheduler.update(arm, ran, reward)
+            scheduler.on_slice_complete(arm, ran, reward)
             stats.busy_seconds += busy
             stats.slices += 1
             stats.tests += ran
@@ -1590,7 +1587,7 @@ class FleetRunner:
             while available and len(picks) < concurrency:
                 if budget_left is not None and budget_left <= 0:
                     break
-                arm = scheduler.select(sorted(available))
+                arm = scheduler.next_campaign(sorted(available))
                 available.discard(arm)
                 spec = self.specs[arm]
                 n_tests = min(

@@ -205,17 +205,13 @@ class DutBatchSimulator:
         (golden + DUT)" guidance.
     """
 
-    #: Core/params classes — subclasses (``repro.soc.batch_boom``) override
-    #: these two attributes plus :meth:`_group` to batch a different core.
-    _CORE_CLS = RocketCore
-    _PARAMS_CLS = RocketParams
-
-    def __init__(self, params=None, lanes: int = DEFAULT_LANES) -> None:
+    def __init__(self, params: RocketParams | None = None,
+                 lanes: int = DEFAULT_LANES) -> None:
         if lanes < 1:
             raise ValueError(f"lanes must be >= 1, got {lanes}")
-        self.params = params or self._PARAMS_CLS()
+        self.params = params or RocketParams()
         self.lanes = lanes
-        self._core = self._CORE_CLS(self.params)
+        self._core = RocketCore(self.params)
         #: word -> (meta flags, packed decode mask), shared across groups.
         self._meta_cache: dict[int, tuple[int, int]] = {}
         #: cause -> coverage row for the trap-entry condition group.
@@ -314,12 +310,8 @@ class DutBatchSimulator:
             if len(chunk) < LANE_MIN:
                 out.extend(self._core.run(p, base) for p in chunk)
             else:
-                out.extend(self._group(chunk, base).run())
+                out.extend(_DutLaneGroup(self, chunk, base).run())
         return out
-
-    def _group(self, chunk, base: int):
-        """Lane-group class hook; subclasses return their own group."""
-        return _DutLaneGroup(self, chunk, base)
 
     def _batchable(self, progs: list[list[int]], base: int) -> bool:
         if _np is None or len(progs) < LANE_MIN:
@@ -617,9 +609,10 @@ class _DutLaneGroup(_LaneGroup):
 
         # -- lane-wise coverage bitmap + timing ----------------------------
         self.covmat = np.zeros((g, self.W), dtype=np.uint64)
+        self.idle_row = sim._idle()
         self.cycles = np.zeros(g, dtype=np.int64)
 
-        # -- SoA caches, BTB and geometry ----------------------------------
+        # -- SoA caches and geometry ---------------------------------------
         self.ic = _SoACache(g, p.icache_sets, p.icache_ways)
         self.dc = _SoACache(g, p.dcache_sets, p.dcache_ways)
         self.off_bits = p.line_bytes.bit_length() - 1
@@ -627,21 +620,8 @@ class _DutLaneGroup(_LaneGroup):
         self.ic_tag_shift = self.ic_mask.bit_length()
         self.dc_mask = p.dcache_sets - 1
         self.dc_tag_shift = self.dc_mask.bit_length()
-        ne = self.core.predictor.entries
-        self.btb_n = ne
-        self.btb_valid = np.zeros((g, ne), dtype=bool)
-        self.btb_pc = np.zeros((g, ne), dtype=np.uint64)
-        self.btb_ctr = np.zeros((g, ne), dtype=np.int64)
 
-        # -- core-specific run-state trackers ------------------------------
-        self._init_extra(g)
-
-    def _init_extra(self, g: int) -> None:
-        """Rocket's vectorised run-state trackers (spliced on peel)."""
-        np = _np
-        sim = self.sim
-        p = self.params
-        self.idle_row = sim._idle()
+        # -- vectorised run-state trackers (spliced on peel) ---------------
         self.prev1_rd = np.full(g, -1, dtype=np.int64)
         self.prev1_load = np.zeros(g, dtype=bool)
         self.prev1_md = np.zeros(g, dtype=bool)
@@ -673,6 +653,11 @@ class _DutLaneGroup(_LaneGroup):
         self.t_branch_counts: list = [dict() for _ in range(g)]
         self.t_branch_outcomes: list = [dict() for _ in range(g)]
         self.t_link_stack: list = [[] for _ in range(g)]
+        ne = self.core.predictor.entries
+        self.btb_n = ne
+        self.btb_valid = np.zeros((g, ne), dtype=bool)
+        self.btb_pc = np.zeros((g, ne), dtype=np.uint64)
+        self.btb_ctr = np.zeros((g, ne), dtype=np.int64)
         self.t_line_touches: list = [dict() for _ in range(g)]
         self.t_evicted: list = [set() for _ in range(g)]
         self.t_sp_slots: list = [set() for _ in range(g)]

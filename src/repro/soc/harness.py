@@ -45,10 +45,9 @@ def _load_rocket() -> EngineSpec:
 
 
 def _load_boom() -> EngineSpec:
-    from repro.soc.batch_boom import BoomBatchSimulator
     from repro.soc.boom import BoomCore, BoomParams
 
-    return EngineSpec(BoomCore, BoomParams, BoomBatchSimulator)
+    return EngineSpec(BoomCore, BoomParams, None)
 
 
 #: kind -> lazy :class:`EngineSpec` loader.  This is the single place a
@@ -176,16 +175,14 @@ class DutHarness:
         (pinned by ``tests/golden/test_batch.py``) but several times
         faster on whole batches.
     dut_lanes:
-        Lane-group width for the batched DUT engine of the core's kind
-        (:class:`repro.soc.batch.DutBatchSimulator` for Rocket,
-        :class:`repro.soc.batch_boom.BoomBatchSimulator` for BOOM,
-        resolved through :data:`ENGINE_REGISTRY`).  ``0`` (the default)
+        Lane-group width for the batched DUT engine of the core's kind,
+        resolved through :data:`ENGINE_REGISTRY` (only Rocket has one:
+        :class:`repro.soc.batch.DutBatchSimulator`).  ``0`` (the default)
         keeps the scalar DUT; any positive width routes
         :meth:`run_dut_batch` / :meth:`run_differential_batch` through
         numpy lane execution producing bit-identical traces *and* coverage
-        reports (pinned by ``tests/soc/test_batch.py`` and
-        ``tests/soc/test_batch_boom.py``).  Cores whose kind declares no
-        batch engine reject it loudly.
+        reports (pinned by ``tests/soc/test_batch.py``).  Cores whose kind
+        declares no batch engine, BOOM among them, reject it loudly.
     """
 
     def __init__(self, core, max_steps: int = 4096,
@@ -343,10 +340,10 @@ def harness_factory(kind: str = "rocket", params=None,
 def rocket_harness_factory(params=None, golden_lanes: int = 0,
                            dut_lanes: int = 0) -> HarnessFactory:
     """Picklable factory for :func:`make_rocket_harness`."""
-    return HarnessFactory("rocket", params, golden_lanes, dut_lanes)
+    return harness_factory("rocket", params, golden_lanes, dut_lanes)
 
 
 def boom_harness_factory(params=None, golden_lanes: int = 0,
                          dut_lanes: int = 0) -> HarnessFactory:
     """Picklable factory for :func:`make_boom_harness`."""
-    return HarnessFactory("boom", params, golden_lanes, dut_lanes)
+    return harness_factory("boom", params, golden_lanes, dut_lanes)

@@ -313,32 +313,32 @@ class TestStreamingMode:
 
 
 class TestMixedArmFleet:
-    """Heterogeneous fleet: one Rocket arm + one BOOM arm, both riding
-    their kind's batch engines (``golden_lanes=dut_lanes=8``)."""
+    """Heterogeneous fleet: a Rocket arm on golden and DUT lanes next to a
+    BOOM arm on golden lanes (BOOM has no batched DUT engine)."""
 
-    def _specs(self, golden_lanes=0, dut_lanes=0):
+    def _specs(self, lanes=0):
         return [
             CampaignSpec("rocket-arm", fuzzer="thehuzz",
                          fuzzer_config={"body_instructions": 16}, seed=5,
-                         harness="rocket", golden_lanes=golden_lanes,
-                         dut_lanes=dut_lanes, batch_size=8, budget_tests=24),
+                         harness="rocket", golden_lanes=lanes,
+                         dut_lanes=lanes, batch_size=8, budget_tests=24),
             CampaignSpec("boom-arm", fuzzer="random",
                          fuzzer_config={"body_instructions": 16}, seed=2,
-                         harness="boom", golden_lanes=golden_lanes,
-                         dut_lanes=dut_lanes, batch_size=8, budget_tests=24),
+                         harness="boom", golden_lanes=lanes,
+                         batch_size=8, budget_tests=24),
         ]
 
     def test_streaming_lanes_bit_identical_to_scalar(self):
         """Vector lanes are a pure perf knob fleet-wide: every arm's
         trace stream, curve and final coverage bitmap — hence any union
         taken over them — must equal the all-scalar fleet's exactly."""
-        def run(**lanes):
-            with FleetRunner(self._specs(**lanes)) as fleet:
+        def run(lanes=0):
+            with FleetRunner(self._specs(lanes)) as fleet:
                 return fleet.run_scheduled(RoundRobin(), slice_tests=8,
                                            mode="streaming")
 
         scalar = run()
-        vector = run(golden_lanes=8, dut_lanes=8)
+        vector = run(lanes=8)
         assert vector.campaigns == scalar.campaigns
         for got, ref in zip(vector.campaigns, scalar.campaigns):
             assert got.final_coverage == ref.final_coverage

@@ -1,6 +1,5 @@
 """Budget schedulers: round-robin cycling, UCB1 math, checkpoint state,
-and the event-driven interface (next_campaign/on_slice_complete) with its
-round-mode adapters (select/update)."""
+all through the event-driven interface (next_campaign/on_slice_complete)."""
 
 import math
 
@@ -13,32 +12,32 @@ class TestRoundRobin:
     def test_cycles_in_index_order(self):
         rr = RoundRobin()
         rr.bind(3)
-        picks = [rr.select([0, 1, 2]) for _ in range(6)]
+        picks = [rr.next_campaign([0, 1, 2]) for _ in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]
 
     def test_skips_ineligible_arms(self):
         rr = RoundRobin()
         rr.bind(4)
-        assert rr.select([0, 1, 2, 3]) == 0
+        assert rr.next_campaign([0, 1, 2, 3]) == 0
         # Arm 1 exhausted its budget: the cursor passes over it.
-        assert rr.select([0, 2, 3]) == 2
-        assert rr.select([0, 2, 3]) == 3
-        assert rr.select([0, 2, 3]) == 0
+        assert rr.next_campaign([0, 2, 3]) == 2
+        assert rr.next_campaign([0, 2, 3]) == 3
+        assert rr.next_campaign([0, 2, 3]) == 0
 
     def test_empty_eligible_raises(self):
         rr = RoundRobin()
         rr.bind(2)
         with pytest.raises(ValueError, match="no eligible"):
-            rr.select([])
+            rr.next_campaign([])
 
     def test_state_roundtrip_continues_sequence(self):
         rr = RoundRobin()
         rr.bind(3)
-        rr.select([0, 1, 2])
+        rr.next_campaign([0, 1, 2])
         clone = RoundRobin()
         clone.bind(3)
         clone.load_state_dict(rr.state_dict())
-        assert clone.select([0, 1, 2]) == rr.select([0, 1, 2])
+        assert clone.next_campaign([0, 1, 2]) == rr.next_campaign([0, 1, 2])
 
 
 class TestBanditScheduler:
@@ -47,7 +46,7 @@ class TestBanditScheduler:
         bandit = BanditScheduler(exploration=exploration)
         bandit.bind(len(rewards))
         for arm, reward in enumerate(rewards):
-            bandit.update(arm, tests=1, reward=reward)
+            bandit.on_slice_complete(arm, tests=1, reward=reward)
         return bandit
 
     def test_plays_every_arm_once_first(self):
@@ -55,14 +54,14 @@ class TestBanditScheduler:
         bandit.bind(3)
         picks = []
         for _ in range(3):
-            arm = bandit.select([0, 1, 2])
+            arm = bandit.next_campaign([0, 1, 2])
             picks.append(arm)
-            bandit.update(arm, tests=1, reward=0.0)
+            bandit.on_slice_complete(arm, tests=1, reward=0.0)
         assert picks == [0, 1, 2]
 
     def test_exploits_the_best_arm(self):
         bandit = self.make([0.1, 0.9, 0.1], exploration=0.1)
-        assert bandit.select([0, 1, 2]) == 1
+        assert bandit.next_campaign([0, 1, 2]) == 1
 
     def test_ucb_formula(self):
         bandit = self.make([0.2, 0.8])
@@ -72,24 +71,24 @@ class TestBanditScheduler:
             + math.sqrt(2 * math.log(plays) / bandit.counts[a])
             for a in (0, 1)
         ]
-        assert bandit.select([0, 1]) == scores.index(max(scores))
+        assert bandit.next_campaign([0, 1]) == scores.index(max(scores))
 
     def test_exploration_term_revisits_starved_arms(self):
         # Arm 0 looks best but has been pulled many times; with a large
         # exploration constant the confidence bound sends us back to arm 1.
         bandit = self.make([0.5, 0.4], exploration=5.0)
         for _ in range(20):
-            bandit.update(0, tests=1, reward=0.5)
-        assert bandit.select([0, 1]) == 1
+            bandit.on_slice_complete(0, tests=1, reward=0.5)
+        assert bandit.next_campaign([0, 1]) == 1
 
     def test_tie_breaks_to_lowest_index(self):
         bandit = self.make([0.3, 0.3, 0.3])
-        assert bandit.select([0, 1, 2]) == 0
-        assert bandit.select([1, 2]) == 1
+        assert bandit.next_campaign([0, 1, 2]) == 0
+        assert bandit.next_campaign([1, 2]) == 1
 
     def test_respects_eligibility(self):
         bandit = self.make([0.1, 0.9, 0.5], exploration=0.1)
-        assert bandit.select([0, 2]) == 2
+        assert bandit.next_campaign([0, 2]) == 2
 
     def test_state_roundtrip(self):
         bandit = self.make([0.2, 0.7])
@@ -98,7 +97,7 @@ class TestBanditScheduler:
         clone.load_state_dict(bandit.state_dict())
         assert clone.counts == bandit.counts
         assert clone.totals == bandit.totals
-        assert clone.select([0, 1]) == bandit.select([0, 1])
+        assert clone.next_campaign([0, 1]) == bandit.next_campaign([0, 1])
 
     def test_state_dict_is_json_compatible(self):
         import json
@@ -114,41 +113,20 @@ class TestBanditScheduler:
     def test_base_protocol_defaults(self):
         scheduler = BudgetScheduler()
         scheduler.bind(2)
-        scheduler.update(0, tests=1, reward=0.5)  # no-op
+        scheduler.on_slice_complete(0, tests=1, reward=0.5)  # no-op
         scheduler.load_state_dict(scheduler.state_dict())
         with pytest.raises(NotImplementedError):
-            scheduler.select([0, 1])
+            scheduler.next_campaign([0, 1])
 
 
 class TestEventDrivenInterface:
-    """The streaming fleet drives next_campaign/on_slice_complete; the
-    round-mode pair must be pure adapters over the same policy state."""
+    """Both fleet modes drive next_campaign/on_slice_complete."""
 
     def test_round_robin_event_driven_cycling(self):
         rr = RoundRobin()
         rr.bind(3)
         picks = [rr.next_campaign([0, 1, 2]) for _ in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]
-
-    def test_select_and_next_campaign_share_cursor(self):
-        rr = RoundRobin()
-        rr.bind(4)
-        assert rr.next_campaign([0, 1, 2, 3]) == 0
-        assert rr.select([0, 1, 2, 3]) == 1  # adapter advances same cursor
-        assert rr.next_campaign([0, 1, 2, 3]) == 2
-
-    def test_update_and_on_slice_complete_share_bandit_state(self):
-        via_update = BanditScheduler()
-        via_update.bind(3)
-        via_event = BanditScheduler()
-        via_event.bind(3)
-        for arm, reward in ((0, 0.1), (1, 0.9), (2, 0.3), (1, 0.8)):
-            via_update.update(arm, tests=8, reward=reward)
-            via_event.on_slice_complete(arm, tests=8, reward=reward)
-        assert via_update.counts == via_event.counts
-        assert via_update.totals == via_event.totals
-        assert (via_update.select([0, 1, 2])
-                == via_event.next_campaign([0, 1, 2]))
 
     def test_ucb1_state_roundtrip_through_event_interface(self):
         """Satellite pin: UCB1 state survives a checkpoint round-trip when
@@ -170,29 +148,6 @@ class TestEventDrivenInterface:
             bandit.on_slice_complete(arm, tests=8, reward=reward)
             clone.on_slice_complete(clone_arm, tests=8, reward=reward)
         assert clone.state_dict() == bandit.state_dict()
-
-    def test_legacy_subclass_still_works_in_round_mode(self):
-        """A pre-streaming policy that only overrides select/update keeps
-        serving round-mode fleets (and is rejected by streaming, which
-        needs next_campaign)."""
-
-        class Legacy(BudgetScheduler):
-            def __init__(self):
-                self.seen = []
-
-            def select(self, eligible):
-                return max(eligible)
-
-            def update(self, arm, tests, reward):
-                self.seen.append((arm, reward))
-
-        legacy = Legacy()
-        legacy.bind(3)
-        assert legacy.select([0, 1, 2]) == 2
-        legacy.update(2, tests=8, reward=0.5)
-        assert legacy.seen == [(2, 0.5)]
-        with pytest.raises(NotImplementedError):
-            legacy.next_campaign([0, 1, 2])
 
     def test_base_on_slice_complete_is_noop(self):
         scheduler = BudgetScheduler()

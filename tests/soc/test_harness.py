@@ -141,18 +141,11 @@ class TestBatchedLanes:
             assert trace.entries == ref_trace.entries
             assert report.hits == ref_report.hits
 
-    def test_boom_dut_lanes_batch_matches_scalar(self):
-        scalar = make_boom_harness().run_differential_batch(self.BODIES)
-        lanes = make_boom_harness(
-            golden_lanes=4, dut_lanes=4).run_differential_batch(self.BODIES)
-        for (dt0, gt0, r0), (dt1, gt1, r1) in zip(scalar, lanes):
-            assert dt1.entries == dt0.entries
-            assert gt1.entries == gt0.entries
-            assert r1.hits == r0.hits and r1.cycles == r0.cycles
-
     def test_kind_without_batch_engine_rejects_dut_lanes(self, monkeypatch):
-        """A registered kind that declares no batch engine must keep the
-        loud error — at factory-build time and at harness-build time."""
+        """A registered kind that declares no batch engine (BOOM, or a
+        throwaway scalar-only kind) must keep the loud error on every entry
+        point — at factory/spec-build time and at harness-build time."""
+        from repro.fuzzing.fleet import CampaignSpec
         from repro.soc import harness as harness_mod
         from repro.soc.rocket import RocketParams
 
@@ -162,13 +155,22 @@ class TestBatchedLanes:
         monkeypatch.setitem(
             harness_mod.ENGINE_REGISTRY, "scalar-only",
             lambda: harness_mod.EngineSpec(ScalarOnlyCore, RocketParams, None))
-        # Scalar use of the kind is fine...
+        # Scalar use of the kinds is fine, golden lanes included...
         harness_mod.harness_factory("scalar-only")
-        # ...but any dut_lanes request fails loudly on both paths.
-        with pytest.raises(ValueError, match="batch engine"):
-            harness_mod.harness_factory("scalar-only", dut_lanes=4)
-        with pytest.raises(ValueError, match="batch engine"):
-            harness_mod.DutHarness(ScalarOnlyCore(), dut_lanes=4)
+        harness_mod.boom_harness_factory(golden_lanes=4)()
+        # ...but any dut_lanes request fails loudly on every path.
+        rejected = [
+            lambda: harness_mod.harness_factory("scalar-only", dut_lanes=4),
+            lambda: harness_mod.DutHarness(ScalarOnlyCore(), dut_lanes=4),
+            lambda: harness_mod.make_harness("boom", dut_lanes=4),
+            lambda: make_boom_harness(dut_lanes=4),
+            lambda: harness_mod.harness_factory("boom", dut_lanes=4),
+            lambda: harness_mod.boom_harness_factory(dut_lanes=4),
+            lambda: CampaignSpec("boom-arm", harness="boom", dut_lanes=4),
+        ]
+        for build in rejected:
+            with pytest.raises(ValueError, match="batch engine"):
+                build()
 
     def test_unknown_kind_rejected(self):
         from repro.soc.harness import harness_factory
