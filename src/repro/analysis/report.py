@@ -46,14 +46,22 @@ def store_report(aggregates) -> str:
     from repro.fuzzing.mismatch import Mismatch
 
     agg = aggregates.as_dict() if hasattr(aggregates, "as_dict") else aggregates
+    # Wall, busy and utilisation come from fleet dispatch events; a store
+    # written by a standalone campaign has none (no fleet_started), so
+    # its zeros would misreport rather than measure.
+    if agg["runs"]:
+        timing = (f"  wall: {agg['wall_seconds']:.1f}s"
+                  f"  busy: {agg['busy_seconds']:.1f}s"
+                  f"  utilisation: {100.0 * agg['utilisation']:.0f}%")
+    else:
+        timing = "  wall: n/a  busy: n/a  utilisation: n/a"
     lines = [
         "Fleet results store",
         f"  runs: {agg['runs']}{' (live)' if agg['live'] else ''}"
         f"  mode: {agg['mode'] or '-'}  worker slots: {agg['worker_slots']}",
         f"  union coverage: {agg['union_percent']:.2f}% of {agg['universe']}"
         f"  tests: {agg['total_tests']}",
-        f"  wall: {agg['wall_seconds']:.1f}s  busy: {agg['busy_seconds']:.1f}s"
-        f"  utilisation: {100.0 * agg['utilisation']:.0f}%",
+        timing,
         "",
     ]
     arm_rows = [

@@ -87,8 +87,10 @@ async function refresh() {
       `union ${agg.union_percent.toFixed(2)}% of ${agg.universe}` +
       ` | tests ${agg.total_tests} | mode ${agg.mode || "-"}` +
       ` | slots ${agg.worker_slots}` +
-      ` | utilisation ${(100 * agg.utilisation).toFixed(0)}%` +
-      ` | wall ${agg.wall_seconds.toFixed(1)}s` +
+      (agg.runs  // no fleet_started: a standalone campaign has no timing
+        ? ` | utilisation ${(100 * agg.utilisation).toFixed(0)}%` +
+          ` | wall ${agg.wall_seconds.toFixed(1)}s`
+        : " | utilisation n/a | wall n/a") +
       (agg.live ? " | LIVE" : "");
     draw(agg.arms);
     fill("arms", ["arm", "tests", "cov %", "busy s", "slices", "state"],

@@ -19,6 +19,15 @@ instruction word, the cause comparators of a trap, an idle interrupt poll)
 should be folded with :meth:`record_mask` — one OR retires the whole group,
 which is where the engine's throughput win over per-arm ``set.add`` comes
 from (see ``benchmarks/test_perf_coverage.py``).
+
+Per-cycle paths go further and make no per-condition call at all.  At
+elaboration they prebind each dynamic condition's ``(false_bit, true_bit)``
+pair (:meth:`arm_bit` of both values); at run time they index the pair with
+the condition's value, OR the result — together with any precomputed
+static group — into one local int, and end the cycle with a single
+:meth:`record_mask`.  ``RocketCore.step_cycle`` records a whole cycle this
+way, and the caches, branch predictor and tracer fold each call's group
+the same way.
 """
 
 from __future__ import annotations

@@ -48,7 +48,13 @@ class Module:
     # -- runtime -----------------------------------------------------------------
 
     def cond(self, name: str, value) -> bool:
-        """Record one observation of a declared condition; returns bool(value)."""
+        """Record one observation of a declared condition; returns bool(value).
+
+        Two calls and a name lookup per observation: fine off the hot path.
+        Per-cycle paths instead fold prebound ``(false_bit, true_bit)``
+        pairs (see :meth:`arm_bit`) into one local mask and record it with
+        a single ``self.cov.record_mask`` per cycle.
+        """
         return self.cov.record(self._handles[name], bool(value))
 
     def arm_bit(self, name: str, value) -> int:

@@ -68,10 +68,33 @@ from repro.golden.batch import (
 )
 from repro.golden.trace import CommitTrace, MemOp, TraceEntry
 from repro.isa import spec
-from repro.isa.decoder import decode
 from repro.rtl.bitset import Bitset
 from repro.rtl.report import CoverageReport
-from repro.soc.rocket.core import RocketCore
+from repro.soc.rocket.core import (
+    M_BEQ,
+    M_BRANCH,
+    M_CMP,
+    M_CSR,
+    M_CSR_CTR,
+    M_CSR_RO,
+    M_DIVLIKE,
+    M_FENCE,
+    M_FENCEI,
+    M_JAL,
+    M_JALR,
+    M_JUMP,
+    M_LOAD,
+    M_MEM,
+    M_MINPRIV_SHIFT,
+    M_MULDIV,
+    M_MULHI,
+    M_RS1READ,
+    M_RS2READ,
+    M_SHIFTI,
+    M_STORE,
+    M_WRD,
+    RocketCore,
+)
 from repro.soc.rocket.params import RocketParams
 
 try:
@@ -86,105 +109,6 @@ def _nz1(mask):
     """``flatnonzero`` for 1-D masks without the ravel/asarray wrapper —
     the round loop calls this dozens of times per step."""
     return mask.nonzero()[0]
-
-# -- per-word metadata table -------------------------------------------------
-#
-# The golden dispatch table carries what *execution* needs (kind, operand
-# fields, flags); the DUT additionally needs what the *coverage and timing*
-# model reads off the decoded instruction.  Bits 0-14 are the raw rd/rs1/rs2
-# fields; the M_* flags above bit 16 are static predicates of the word.
-
-M_RS1READ = 1 << 16    # spec.reads_rs1
-M_RS2READ = 1 << 17    # spec.reads_rs2
-M_WRD = 1 << 18        # spec.writes_rd
-M_MULDIV = 1 << 19
-M_DIVLIKE = 1 << 20    # mnemonic starts with div/rem
-M_LOAD = 1 << 21
-M_STORE = 1 << 22
-M_MEM = 1 << 23        # spec.is_memory (loads/stores/amos)
-M_BRANCH = 1 << 24
-M_BEQ = 1 << 25
-M_JAL = 1 << 26
-M_JALR = 1 << 27
-M_JUMP = 1 << 28       # spec.is_jump
-M_CSR = 1 << 29
-M_CSR_RO = 1 << 30     # static csr.read_only_violation value
-M_CSR_CTR = 1 << 31    # csr in (cycle, time, instret)
-M_FENCE = 1 << 32      # spec.is_fence
-M_FENCEI = 1 << 33     # mnemonic == "fence.i"
-M_CMP = 1 << 34        # slt/sltu/slti/sltiu
-M_SHIFTI = 1 << 35     # fmt in (I_SHIFT64, I_SHIFT32)
-M_MULHI = 1 << 36      # mulh/mulhsu/mulhu
-M_AMO = 1 << 37
-M_MINPRIV_SHIFT = 38   # bits 38-39: csr_min_privilege(csr)
-
-
-def _meta_for(core: RocketCore, word: int) -> tuple[int, int]:
-    """(meta flags, packed decode-condition mask) for one instruction word.
-
-    Derived from the same :func:`decode` the scalar core uses; the decode
-    mask comes from the core's own ``_decode_mask`` builder, so the two
-    paths can never disagree on decode coverage.
-    """
-    ins = decode(word)
-    dmask = core._decode_mask(ins)
-    if ins is None:
-        return 0, dmask
-    s = ins.spec
-    m = s.mnemonic
-    meta = ins.rd | ins.rs1 << 5 | ins.rs2 << 10
-    if s.reads_rs1:
-        meta |= M_RS1READ
-    if s.reads_rs2:
-        meta |= M_RS2READ
-    if s.writes_rd:
-        meta |= M_WRD
-    if s.is_muldiv:
-        meta |= M_MULDIV
-        if m.startswith(("div", "rem")):
-            meta |= M_DIVLIKE
-        if m in ("mulh", "mulhsu", "mulhu"):
-            meta |= M_MULHI
-    if s.is_load:
-        meta |= M_LOAD
-    if s.is_store:
-        meta |= M_STORE
-    if s.is_memory:
-        meta |= M_MEM
-    if s.is_amo:
-        meta |= M_AMO
-    if s.is_branch:
-        meta |= M_BRANCH
-        if m == "beq":
-            meta |= M_BEQ
-    if m == "jal":
-        meta |= M_JAL
-    elif m == "jalr":
-        meta |= M_JALR
-    if s.is_jump:
-        meta |= M_JUMP
-    if s.is_csr:
-        meta |= M_CSR
-        ro = (
-            spec.csr_is_read_only(ins.csr)
-            and not (m in ("csrrs", "csrrc") and ins.rs1 == 0)
-            and not (m in ("csrrsi", "csrrci") and ins.zimm == 0)
-        )
-        if ro:
-            meta |= M_CSR_RO
-        if ins.csr in (spec.CSR_CYCLE, spec.CSR_TIME, spec.CSR_INSTRET):
-            meta |= M_CSR_CTR
-        meta |= spec.csr_min_privilege(ins.csr) << M_MINPRIV_SHIFT
-    if s.is_fence:
-        meta |= M_FENCE
-    if m == "fence.i":
-        meta |= M_FENCEI
-    if m in ("slt", "sltu", "slti", "sltiu"):
-        meta |= M_CMP
-    if s.fmt in ("I_SHIFT64", "I_SHIFT32"):
-        meta |= M_SHIFTI
-    return meta, dmask
-
 
 class DutBatchSimulator:
     """Structure-of-arrays batch DUT producing scalar-identical results.
@@ -212,8 +136,6 @@ class DutBatchSimulator:
         self.params = params or RocketParams()
         self.lanes = lanes
         self._core = RocketCore(self.params)
-        #: word -> (meta flags, packed decode mask), shared across groups.
-        self._meta_cache: dict[int, tuple[int, int]] = {}
         #: cause -> coverage row for the trap-entry condition group.
         self._trap_rows: dict[int, object] = {}
         self._arm_vec: dict[str, tuple[int, object, object]] | None = None
@@ -285,13 +207,11 @@ class DutBatchSimulator:
         return self._idle_row
 
     def _meta(self, word: int) -> tuple[int, int]:
-        rec = self._meta_cache.get(word)
-        if rec is None:
-            if len(self._meta_cache) >= 65536:
-                self._meta_cache.clear()
-            rec = _meta_for(self._core, word)
-            self._meta_cache[word] = rec
-        return rec
+        """(meta flags, packed decode mask) of one instruction word, read
+        from the retained core's per-word table, so the two engines share
+        one description of every word's decode coverage."""
+        rec = self._core.word_record(word)
+        return rec.meta, rec.dmask
 
     # -- entry point ---------------------------------------------------------
 

@@ -8,8 +8,13 @@ missing FENCE.I cache-coherency management).
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from repro.rtl.coverage import ConditionCoverage
 from repro.rtl.module import Module
+
+#: Refill victim order: invalid ways first, then least recently used.
+_victim_order = attrgetter("valid", "lru")
 
 
 class CacheLine:
@@ -62,6 +67,7 @@ class SetAssocCache(Module):
         self.writable = writable
         self._offset_bits = line_bytes.bit_length() - 1
         self._index_mask = sets - 1
+        self._tag_shift = self._index_mask.bit_length()
         self.lines = [[CacheLine() for _ in range(ways)] for _ in range(sets)]
         self._lru_clock = 0
         #: Line-address key (addr // line_bytes) of the last evicted line.
@@ -79,36 +85,49 @@ class SetAssocCache(Module):
             # (the I$ is read-only: no such logic, no such cover points).
             self.conditions("evict_dirty", "mark_dirty")
 
+        # Each probe's condition group folds into one record_mask: the
+        # outcome masks are prebuilt per hit way (per-way conditions exist
+        # for the first two ways only) and for a miss, and the refill and
+        # dirty-marking conditions index prebound (false_bit, true_bit)
+        # pairs.
+        arm = self.arm_bit
+        hit = arm("hit", True) | arm("refill", False)
+        self._hit_masks = tuple(
+            hit | (arm("hit_way0", way == 0) | arm("hit_way1", way == 1)
+                   if way < 2 else 0)
+            for way in range(ways)
+        )
+        self._miss_mask = arm("hit", False) | arm("refill", True)
+        pairs = ("set_conflict", "evict_valid")
+        if writable:
+            pairs += ("evict_dirty", "mark_dirty")
+        self._pairs = {name: (arm(name, False), arm(name, True))
+                       for name in pairs}
+
     # -- geometry helpers ------------------------------------------------------
 
     def _split(self, addr: int) -> tuple[int, int, int]:
         line_addr = addr >> self._offset_bits
-        return line_addr & self._index_mask, line_addr >> (
-            self._index_mask.bit_length()
-        ), addr & (self.line_bytes - 1)
+        return (line_addr & self._index_mask, line_addr >> self._tag_shift,
+                addr & (self.line_bytes - 1))
 
     def _line_base(self, index: int, tag: int) -> int:
-        return ((tag << self._index_mask.bit_length()) | index) << self._offset_bits
+        return ((tag << self._tag_shift) | index) << self._offset_bits
 
     # -- lookup / fill -----------------------------------------------------------
 
     def lookup(self, addr: int) -> CacheLine | None:
         """Probe for a hit, recording the hit/way conditions."""
-        index, tag, _ = self._split(addr)
-        found = None
-        for way, line in enumerate(self.lines[index]):
+        line_addr = addr >> self._offset_bits
+        tag = line_addr >> self._tag_shift
+        for way, line in enumerate(self.lines[line_addr & self._index_mask]):
             if line.valid and line.tag == tag:
-                found = line
-                if way < 2:  # per-way conditions exist for the first two ways
-                    self.cond("hit_way0", way == 0)
-                    self.cond("hit_way1", way == 1)
-                break
-        self.cond("hit", found is not None)
-        self.cond("refill", found is None)  # a miss starts the refill FSM
-        if found is not None:
-            self._lru_clock += 1
-            found.lru = self._lru_clock
-        return found
+                self.cov.record_mask(self._hit_masks[way])
+                self._lru_clock += 1
+                line.lru = self._lru_clock
+                return line
+        self.cov.record_mask(self._miss_mask)  # a miss starts the refill FSM
+        return None
 
     def refill(self, addr: int, fetch_line) -> CacheLine:
         """Install the line containing ``addr``; ``fetch_line(base, n)`` reads
@@ -116,11 +135,13 @@ class SetAssocCache(Module):
         evicted line's address key in :attr:`last_evicted`."""
         index, tag, _ = self._split(addr)
         ways = self.lines[index]
-        victim = min(ways, key=lambda line: (line.valid, line.lru))
-        self.cond("set_conflict", all(line.valid for line in ways))
-        self.cond("evict_valid", victim.valid)
+        victim = min(ways, key=_victim_order)
+        pairs = self._pairs
+        mask = (pairs["set_conflict"][all(line.valid for line in ways)]
+                | pairs["evict_valid"][victim.valid])
         if self.writable:
-            self.cond("evict_dirty", victim.valid and victim.dirty)
+            mask |= pairs["evict_dirty"][victim.valid and victim.dirty]
+        self.cov.record_mask(mask)
         if victim.valid:
             self.last_evicted = self._line_base(index, victim.tag) // self.line_bytes
         else:
@@ -147,13 +168,14 @@ class SetAssocCache(Module):
             line.data = bytes(buf)
             # The condition is the clean->dirty *transition* (re-dirtying an
             # already-dirty line evaluates it false).
-            self.cond("mark_dirty", not line.dirty)
+            self.cov.record_mask(self._pairs["mark_dirty"][not line.dirty])
             line.dirty = True
 
     def _peek(self, addr: int) -> CacheLine | None:
         """Hit check without recording conditions or touching LRU."""
-        index, tag, _ = self._split(addr)
-        for line in self.lines[index]:
+        line_addr = addr >> self._offset_bits
+        tag = line_addr >> self._tag_shift
+        for line in self.lines[line_addr & self._index_mask]:
             if line.valid and line.tag == tag:
                 return line
         return None
@@ -175,10 +197,6 @@ class SetAssocCache(Module):
             for line in ways:
                 line.valid = False
                 line.dirty = False
-
-    def set_index(self, addr: int) -> int:
-        """The set an address maps to (used by set-thrash tracking)."""
-        return self._split(addr)[0]
 
     def is_dirty(self, addr: int) -> bool:
         line = self._peek(addr)

@@ -29,35 +29,58 @@ class BranchPredictor(Module):
             "update_new_entry",
         )
 
+        # predict() and update() each fold their condition group into one
+        # record_mask: predict's outcomes are prebuilt masks, and update's
+        # conditions index prebound (false_bit, true_bit) pairs.
+        arm = self.arm_bit
+        no_hit = arm("btb_hit", False) | arm("pred_taken", False)
+        self._empty_mask = no_hit | arm("btb_alias", False)
+        self._alias_mask = no_hit | arm("btb_alias", True)
+        hit = arm("btb_hit", True) | arm("btb_alias", False)
+        self._hit_masks = (hit | arm("pred_taken", False),
+                           hit | arm("pred_taken", True))
+        self._mispredict = (arm("mispredict", False), arm("mispredict", True))
+        self._new_entry_mask = arm("update_new_entry", True)
+        self._update_pairs = (
+            arm("update_new_entry", False),
+            (arm("ctr_saturated_taken", False), arm("ctr_saturated_taken", True)),
+            (arm("ctr_saturated_not_taken", False),
+             arm("ctr_saturated_not_taken", True)),
+        )
+
     def _index(self, pc: int) -> int:
         return (pc >> 2) % self.entries
 
     def predict(self, pc: int) -> bool:
         """Predict taken/not-taken for the branch at ``pc``."""
         entry = self.btb[self._index(pc)]
-        hit = entry is not None and entry["pc"] == pc
-        self.cond("btb_hit", hit)
-        self.cond("btb_alias", entry is not None and entry["pc"] != pc)
-        taken = bool(hit and entry["ctr"] >= 2)
-        self.cond("pred_taken", taken)
+        taken = False
+        if entry is None:
+            mask = self._empty_mask
+        elif entry["pc"] != pc:
+            mask = self._alias_mask
+        else:
+            taken = entry["ctr"] >= 2
+            mask = self._hit_masks[taken]
+        self.cov.record_mask(mask)
         return taken
 
     def update(self, pc: int, taken: bool, predicted: bool) -> None:
         """Train the predictor with the resolved outcome."""
-        self.cond("mispredict", taken != predicted)
+        mask = self._mispredict[taken != predicted]
         index = self._index(pc)
         entry = self.btb[index]
         if entry is None or entry["pc"] != pc:
-            self.cond("update_new_entry", True)
+            self.cov.record_mask(mask | self._new_entry_mask)
             self.btb[index] = {"pc": pc, "ctr": 2 if taken else 1}
             return
-        self.cond("update_new_entry", False)
         if taken:
-            entry["ctr"] = min(3, entry["ctr"] + 1)
+            entry["ctr"] = ctr = min(3, entry["ctr"] + 1)
         else:
-            entry["ctr"] = max(0, entry["ctr"] - 1)
-        self.cond("ctr_saturated_taken", entry["ctr"] == 3)
-        self.cond("ctr_saturated_not_taken", entry["ctr"] == 0)
+            entry["ctr"] = ctr = max(0, entry["ctr"] - 1)
+        old_entry, sat_taken, sat_not_taken = self._update_pairs
+        self.cov.record_mask(mask | old_entry | sat_taken[ctr == 3]
+                             | sat_not_taken[ctr == 0])
 
     def reset(self) -> None:
         super().reset()

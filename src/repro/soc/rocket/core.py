@@ -7,9 +7,18 @@ I$/D$ behaviour, branch prediction, hazards, the store buffer, trap entry,
 the commit tracer and the timing model — is modelled here and is the source
 of both the condition coverage points and the injected paper behaviours
 (Bug1 and Finding1 live in this file; Bug2/Finding2/Finding3 in the tracer).
+
+Coverage is recorded once per cycle.  Every condition arm that depends only
+on the instruction word comes precomputed from a bounded per-word table
+(:class:`WordRecord`, shared with the lane engine in ``repro.soc.batch``);
+every data-dependent condition indexes a prebound ``(false_bit, true_bit)``
+pair with its value.  Both are ORed into one local int, and the cycle ends
+with a single :meth:`~repro.rtl.coverage.ConditionCoverage.record_mask`.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from repro.golden.exceptions import Trap
 from repro.golden.executor import execute
@@ -17,7 +26,7 @@ from repro.golden.memory import SparseMemory
 from repro.golden.simulator import trap_handler_image
 from repro.golden.state import ArchState
 from repro.golden.trace import CommitTrace, TraceEntry
-from repro.isa.decoder import decode
+from repro.isa.decoder import DecodedInstr, decode
 from repro.isa.spec import (
     CSR_CYCLE,
     CSR_INSTRET,
@@ -53,6 +62,137 @@ _STORE_SIZE = {"sb": 1, "sh": 2, "sw": 4, "sd": 8}
 
 #: mcause codes that have a dedicated comparator condition in the CSR unit.
 _CAUSE_CONDITIONS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 11)
+
+# -- per-word record ----------------------------------------------------------
+#
+# What the coverage and timing model reads off an instruction word is a pure
+# function of the word, so it is derived once per distinct word and kept in
+# one bounded table per core (RocketCore.word_record).  Both engines read it:
+# the scalar step folds the static arm masks, the lane engine the meta flags
+# and the decode mask.  Bits 0-14 of ``meta`` are the raw rd/rs1/rs2 fields;
+# the M_* flags above bit 16 are static predicates of the word.
+
+M_RS1READ = 1 << 16    # spec.reads_rs1
+M_RS2READ = 1 << 17    # spec.reads_rs2
+M_WRD = 1 << 18        # spec.writes_rd
+M_MULDIV = 1 << 19
+M_DIVLIKE = 1 << 20    # mnemonic starts with div/rem
+M_LOAD = 1 << 21
+M_STORE = 1 << 22
+M_MEM = 1 << 23        # spec.is_memory (loads/stores/amos)
+M_BRANCH = 1 << 24
+M_BEQ = 1 << 25
+M_JAL = 1 << 26
+M_JALR = 1 << 27
+M_JUMP = 1 << 28       # spec.is_jump
+M_CSR = 1 << 29
+M_CSR_RO = 1 << 30     # static csr.read_only_violation value
+M_CSR_CTR = 1 << 31    # csr in (cycle, time, instret)
+M_FENCE = 1 << 32      # spec.is_fence
+M_FENCEI = 1 << 33     # mnemonic == "fence.i"
+M_CMP = 1 << 34        # slt/sltu/slti/sltiu
+M_SHIFTI = 1 << 35     # fmt in (I_SHIFT64, I_SHIFT32)
+M_MULHI = 1 << 36      # mulh/mulhsu/mulhu
+M_AMO = 1 << 37
+M_MINPRIV_SHIFT = 38   # bits 38-39: csr_min_privilege(csr)
+M_MRET = 1 << 40
+M_LR = 1 << 41         # lr.w/lr.d
+M_SC = 1 << 42         # sc.w/sc.d
+M_WRSP = 1 << 43       # writes_rd and rd == sp
+
+#: Entries of the per-word table before it is cleared and rebuilt from the
+#: hot working set (the decoder's own cache bound).
+WORD_TABLE_CAP = 65536
+
+
+def _word_meta(ins: DecodedInstr) -> int:
+    """The M_* flags and raw register fields of one decoded instruction."""
+    s = ins.spec
+    m = s.mnemonic
+    meta = ins.rd | ins.rs1 << 5 | ins.rs2 << 10
+    if s.reads_rs1:
+        meta |= M_RS1READ
+    if s.reads_rs2:
+        meta |= M_RS2READ
+    if s.writes_rd:
+        meta |= M_WRD
+        if ins.rd == 2:
+            meta |= M_WRSP
+    if s.is_muldiv:
+        meta |= M_MULDIV
+        if m.startswith(("div", "rem")):
+            meta |= M_DIVLIKE
+        if m in ("mulh", "mulhsu", "mulhu"):
+            meta |= M_MULHI
+    if s.is_load:
+        meta |= M_LOAD
+    if s.is_store:
+        meta |= M_STORE
+    if s.is_memory:
+        meta |= M_MEM
+    if s.is_amo:
+        meta |= M_AMO
+        if m.startswith("lr."):
+            meta |= M_LR
+        elif m.startswith("sc."):
+            meta |= M_SC
+    if s.is_branch:
+        meta |= M_BRANCH
+        if m == "beq":
+            meta |= M_BEQ
+    if m == "jal":
+        meta |= M_JAL
+    elif m == "jalr":
+        meta |= M_JALR
+    elif m == "mret":
+        meta |= M_MRET
+    if s.is_jump:
+        meta |= M_JUMP
+    if s.is_csr:
+        meta |= M_CSR
+        ro = (
+            csr_is_read_only(ins.csr)
+            and not (m in ("csrrs", "csrrc") and ins.rs1 == 0)
+            and not (m in ("csrrsi", "csrrci") and ins.zimm == 0)
+        )
+        if ro:
+            meta |= M_CSR_RO
+        if ins.csr in (CSR_CYCLE, CSR_TIME, CSR_INSTRET):
+            meta |= M_CSR_CTR
+        meta |= csr_min_privilege(ins.csr) << M_MINPRIV_SHIFT
+    if s.is_fence:
+        meta |= M_FENCE
+    if m == "fence.i":
+        meta |= M_FENCEI
+    if m in ("slt", "sltu", "slti", "sltiu"):
+        meta |= M_CMP
+    if s.fmt in ("I_SHIFT64", "I_SHIFT32"):
+        meta |= M_SHIFTI
+    return meta
+
+
+class WordRecord(NamedTuple):
+    """Everything the core reads off one instruction word."""
+
+    #: The decoded instruction, or None for an illegal word.
+    instr: DecodedInstr | None
+    #: M_* flags plus the raw rd/rs1/rs2 fields (0 for an illegal word).
+    meta: int
+    #: The decode condition group's arms (the lane engine's decode rows).
+    dmask: int
+    #: Arms every fetch of the word records: the idle interrupt poll,
+    #: ``fetch_fault:F``, the decode group and the CSR unit's static checks.
+    issue: int
+    #: Static arms of an execution that retires (does not trap).
+    retire: int
+    #: Static arms of a retiring execution that performs a memory access.
+    mem: int
+    #: Hazard sources: rs1/rs2 when the instruction reads them and they are
+    #: not x0, else -1 (which never equals a previous destination).
+    src1: int
+    src2: int
+    #: Branches only: the direction-dependent arms, indexed by ``taken``.
+    branch: tuple[int, int] | None
 
 
 class RunState:
@@ -218,26 +358,64 @@ class RocketCore(Module):
         )
         cov.freeze()
 
-        # Memoized group masks: the decode conditions are a pure function of
-        # the instruction word and the trap-cause comparators of the cause,
-        # so each group collapses to one packed-bitmap OR per evaluation
-        # (ConditionCoverage.record_mask) after the first sighting.
-        self._decode_mask_cache: dict[int, int] = {}
+        arm = self.arm_bit
+
+        def pairs(*names: str) -> tuple[tuple[int, int], ...]:
+            """Prebound (false_bit, true_bit) arm pairs, indexed by value."""
+            return tuple((arm(name, False), arm(name, True)) for name in names)
+
+        #: word -> WordRecord, bounded by WORD_TABLE_CAP (see word_record).
+        self._words: dict[int, WordRecord] = {}
+        #: Interned record masks: words of one shape share their mask ints.
+        self._masks: dict[int, int] = {}
+        #: cause -> packed arm mask of the trap-entry condition group.
         self._trap_mask_cache: dict[int, int] = {}
-        # The always-on hazard conditions are data-dependent (no memoizing),
-        # but their per-arm bits can be prebound as (false_bit, true_bit)
-        # pairs: the run loop indexes each pair with the condition's bool and
-        # folds the whole group into one record_mask.
-        self._hazard_pairs = tuple(
-            (self.arm_bit(name, False), self.arm_bit(name, True))
-            for name in (
-                "hazard.raw_rs1_ex", "hazard.raw_rs2_ex",
-                "hazard.raw_rs1_mem", "hazard.raw_rs2_mem",
-                "hazard.load_use_stall", "hazard.muldiv_busy",
-                "hazard.chain3", "hazard.chain5",
-                "hazard.sp_update_use", "hazard.load_use_after_miss",
-            )
+        # No interrupt source is ever asserted, so the controller's poll
+        # is the same all-false group every cycle: fold it into the
+        # per-cycle masks instead of calling it.
+        idle = self.irq._idle_mask
+        self._fetch_fault_mask = idle | arm("frontend.fetch_fault", True)
+        self._fetched_mask = idle | arm("frontend.fetch_fault", False)
+        (self._line_cross,) = pairs("frontend.line_cross")
+        self._line_offset_mask = self.icache.line_bytes - 1
+        self._line_last_word = self.icache.line_bytes - 4
+        self._hazard_pairs = pairs(
+            "hazard.raw_rs1_ex", "hazard.raw_rs2_ex",
+            "hazard.raw_rs1_mem", "hazard.raw_rs2_mem",
+            "hazard.load_use_stall", "hazard.muldiv_busy",
+            "hazard.chain3", "hazard.chain5",
+            "hazard.sp_update_use", "hazard.load_use_after_miss",
         )
+        self._issue_pairs = pairs(
+            "execute.muldiv_chain", "execute.div_after_mul",
+            "csr.priv_violation", "csr.in_user_mode",
+        )
+        self._execute_pairs = pairs(
+            "execute.result_zero", "execute.result_negative",
+            "execute.div_by_zero", "execute.div_overflow",
+            "frontend.redirect", "csr.enter_user", "mem.fencei_dirty",
+        )
+        self._branch_pairs = pairs(
+            "frontend.loop_iteration", "frontend.branch_both_ways",
+            "execute.branch_after_cmp",
+        )
+        self._jump_pairs = pairs(
+            "frontend.call_depth2", "frontend.jalr_to_link",
+            "frontend.call_return_pair",
+        )
+        self._csr_pairs = pairs(
+            "csr.write_read_roundtrip", "csr.mepc_user_write",
+            "csr.mstatus_mpp_clear", "csr.write",
+        )
+        self._mem_pairs = pairs(
+            "mem.sc_success", "mem.sc_after_store_fail",
+            "mem.same_line_reuse", "mem.cross_line_pair", "mem.line_reuse3",
+            "mem.set_thrash", "mem.victim_revisit", "mem.redirty",
+            "mem.coalesce", "mem.spill_reload", "mem.lr_replay",
+            "mem.amo_chain", "mem.hit_streak4", "mem.storebuf_full",
+            "mem.storebuf_forward",
+        )
+        self._mem_fault_pairs = pairs("mem.misaligned", "mem.access_fault")
 
     # ------------------------------------------------------------------ run --
 
@@ -312,7 +490,8 @@ class RocketCore(Module):
 
         Returns True while the run should continue; False once a stop
         reason has been recorded on ``rs.trace``.  One iteration is one
-        fetch attempt: a retired instruction, or a trap entry.
+        fetch attempt: a retired instruction, or a trap entry.  Its
+        condition arms accumulate in ``mask`` and are recorded once.
         """
         p = self.params
         if rs.iterations >= p.max_steps:
@@ -322,283 +501,345 @@ class RocketCore(Module):
 
         state = rs.state
         memory = rs.memory
-        trace = rs.trace
         pc = state.pc
-        in_handler = rs.handler_lo <= pc < rs.handler_hi
-
-        self.irq.poll()
-        rs.cycles += 1  # base CPI of 1
+        priv = state.priv
+        cycles = rs.cycles + 1  # base CPI of 1
 
         # ---------------- fetch (through the I$: Bug1 lives here) -------
-        word, fetch_cycles, fault = self._fetch(pc, memory)
-        rs.cycles += fetch_cycles
-        if fault:
-            rs.cycles += p.trap_penalty
-            rs.traps_taken += 1
-            self._trap_conditions(EXC_INSTR_ACCESS_FAULT)
-            trace.append(TraceEntry(pc=pc, instr=0, priv=state.priv,
-                                    trap_cause=EXC_INSTR_ACCESS_FAULT,
-                                    trap_tval=pc))
-            state.reservation = None
-            state.pc = state.csr.enter_trap(
-                EXC_INSTR_ACCESS_FAULT, pc, pc, state.priv)
-            state.priv = PRV_M
-            state.csr.tick()
-            if rs.traps_taken >= p.max_traps:
-                trace.stop_reason = "max_traps"
-                return False
-            return True
+        if not memory.is_mapped(pc, 4):
+            rs.cycles = cycles + p.trap_penalty
+            return self._trap(rs, self._fetch_fault_mask, pc, 0,
+                              EXC_INSTR_ACCESS_FAULT, pc, priv)
+        icache = self.icache
+        offset = pc & self._line_offset_mask
+        line = icache.lookup(pc)
+        if line is None:
+            line = icache.refill(pc, memory.read_bytes)
+            cycles += icache.miss_penalty
+            word = int.from_bytes(line.data[offset:offset + 4], "little")
+        elif p.bug1_fencei:
+            # A cached line is served even when the backing memory has
+            # since been modified: the stale-instruction behaviour behind
+            # CWE-1202.
+            word = int.from_bytes(line.data[offset:offset + 4], "little")
+        else:
+            # Clean core: the I$ snoops stores, so always serve fresh memory.
+            word = int.from_bytes(memory.read_bytes(pc, 4), "little")
 
         # ---------------- decode ----------------------------------------
-        instr = decode(word)
-        self._decode_conditions(instr, word)
+        (instr, meta, _, issue, retire, mem_static, src1, src2, branch,
+         ) = self._words.get(word) or self.word_record(word)
+        mask = issue | self._line_cross[offset == self._line_last_word]
         if instr is None:
-            rs.cycles += p.trap_penalty
-            rs.traps_taken += 1
-            self._trap_conditions(EXC_ILLEGAL_INSTRUCTION)
-            trace.append(TraceEntry(pc=pc, instr=word, priv=state.priv,
-                                    trap_cause=EXC_ILLEGAL_INSTRUCTION,
-                                    trap_tval=word))
-            state.reservation = None
-            state.pc = state.csr.enter_trap(
-                EXC_ILLEGAL_INSTRUCTION, pc, word, state.priv)
-            state.priv = PRV_M
-            state.csr.tick()
-            if rs.traps_taken >= p.max_traps:
-                trace.stop_reason = "max_traps"
-                return False
-            return True
-
-        spec = instr.spec
+            rs.cycles = cycles + p.trap_penalty
+            return self._trap(rs, mask, pc, word, EXC_ILLEGAL_INSTRUCTION,
+                              word, priv)
 
         # ---------------- hazards ---------------------------------------
-        # Condition values are computed up front, the timing bookkeeping
-        # runs on them, and the whole group is recorded as one packed
-        # mask (recording has no side effects, so ordering is free).
-        rs1 = instr.rs1 if spec.reads_rs1 else None
-        rs2 = instr.rs2 if spec.reads_rs2 else None
-        raw1_ex = rs1 is not None and rs1 != 0 and rs1 == rs.prev1[0]
-        raw2_ex = rs2 is not None and rs2 != 0 and rs2 == rs.prev1[0]
-        load_use = (raw1_ex or raw2_ex) and rs.prev1[1]
+        prev1 = rs.prev1
+        raw1_ex = src1 == prev1[0]
+        raw2_ex = src2 == prev1[0]
+        raw_ex = raw1_ex or raw2_ex
+        load_use = raw_ex and prev1[1]
         if load_use:
-            rs.cycles += 1
-        muldiv_stall = spec.is_muldiv and rs.cycles < rs.muldiv_busy_until
+            cycles += 1
+        muldiv = meta & M_MULDIV
+        muldiv_stall = muldiv and cycles < rs.muldiv_busy_until
         if muldiv_stall:
-            rs.cycles = rs.muldiv_busy_until
-        if raw1_ex or raw2_ex:
+            cycles = rs.muldiv_busy_until
+        if raw_ex:
             rs.dep_chain += 1
         else:
-            rs.dep_chain = 1 if spec.writes_rd else 0
-        (p_raw1_ex, p_raw2_ex, p_raw1_mem, p_raw2_mem, p_load_use,
-         p_muldiv, p_chain3, p_chain5, p_sp_use, p_lu_miss,
+            rs.dep_chain = 1 if meta & M_WRD else 0
+        dep_chain = rs.dep_chain
+        prev2_rd = rs.prev2[0]
+        (h_raw1_ex, h_raw2_ex, h_raw1_mem, h_raw2_mem, h_load_use,
+         h_muldiv, h_chain3, h_chain5, h_sp_use, h_lu_miss,
          ) = self._hazard_pairs
-        self.cov.record_mask(
-            p_raw1_ex[raw1_ex]
-            | p_raw2_ex[raw2_ex]
-            | p_raw1_mem[rs1 is not None and rs1 != 0 and rs1 == rs.prev2[0]]
-            | p_raw2_mem[rs2 is not None and rs2 != 0 and rs2 == rs.prev2[0]]
-            | p_load_use[load_use]
-            | p_muldiv[muldiv_stall]
-            | p_chain3[rs.dep_chain >= 3]
-            | p_chain5[rs.dep_chain >= 5]
-            | p_sp_use[bool(rs.prev_wrote_sp and rs1 == 2)]
-            | p_lu_miss[bool(load_use and self._prev_load_missed)]
+        mask |= (
+            h_raw1_ex[raw1_ex]
+            | h_raw2_ex[raw2_ex]
+            | h_raw1_mem[src1 == prev2_rd]
+            | h_raw2_mem[src2 == prev2_rd]
+            | h_load_use[load_use]
+            | h_muldiv[muldiv_stall]
+            | h_chain3[dep_chain >= 3]
+            | h_chain5[dep_chain >= 5]
+            | h_sp_use[rs.prev_wrote_sp and src1 == 2]
+            | h_lu_miss[load_use and self._prev_load_missed]
         )
-        rs.prev_wrote_sp = spec.writes_rd and instr.rd == 2
-        if spec.is_muldiv:
-            self.cond("execute.muldiv_chain",
-                      (raw1_ex or raw2_ex) and rs.prev1[2])
-            divlike_now = spec.mnemonic.startswith(("div", "rem"))
-            self.cond("execute.div_after_mul",
-                      divlike_now and rs.last_muldiv_was_mul
-                      and rs.cycles < rs.muldiv_busy_until + p.mul_latency)
-            rs.last_muldiv_was_mul = not divlike_now
+        rs.prev_wrote_sp = (meta & M_WRSP) != 0
+        p_muldiv_chain, p_div_after_mul, p_priv, p_user = self._issue_pairs
+        if muldiv:
+            divlike = meta & M_DIVLIKE
+            mask |= (
+                p_muldiv_chain[raw_ex and prev1[2]]
+                | p_div_after_mul[divlike and rs.last_muldiv_was_mul
+                                  and cycles < rs.muldiv_busy_until
+                                  + p.mul_latency]
+            )
+            rs.last_muldiv_was_mul = not divlike
 
-        # CSR-unit pre-checks (access legality conditions).
-        if spec.is_csr:
-            self.cond("csr.read_only_violation",
-                      csr_is_read_only(instr.csr)
-                      and not (spec.mnemonic in ("csrrs", "csrrc") and instr.rs1 == 0)
-                      and not (spec.mnemonic in ("csrrsi", "csrrci") and instr.zimm == 0))
-            self.cond("csr.priv_violation",
-                      state.priv < csr_min_privilege(instr.csr))
-            self.cond("csr.counter_read",
-                      instr.csr in (CSR_CYCLE, CSR_TIME, CSR_INSTRET))
-        self.cond("csr.in_user_mode", state.priv == PRV_U)
+        # CSR-unit pre-checks (the access legality conditions that depend on
+        # the privilege level; the rest are static in the word's record).
+        if meta & M_CSR:
+            mask |= p_priv[priv < (meta >> M_MINPRIV_SHIFT & 3)]
+        mask |= p_user[priv == PRV_U]
 
         # ---------------- execute ---------------------------------------
         predicted = False
-        if spec.is_branch:
+        if branch is not None:
             predicted = self.predictor.predict(pc)
-        prv_before = state.priv
         try:
             result = execute(state, memory, instr, pc)
         except Trap as trap:
             trap = self._adjust_trap_priority(trap, instr, memory)
-            rs.cycles += p.trap_penalty
-            rs.traps_taken += 1
-            self._trap_conditions(trap.cause)
-            self._mem_fault_conditions(instr, trap)
-            trace.append(TraceEntry(pc=pc, instr=word, priv=prv_before,
-                                    trap_cause=trap.cause,
-                                    trap_tval=trap.tval))
-            state.reservation = None
+            cause = trap.cause
+            if meta & M_MEM:
+                p_misaligned, p_access_fault = self._mem_fault_pairs
+                mask |= (
+                    p_misaligned[cause in (EXC_LOAD_MISALIGNED,
+                                           EXC_STORE_MISALIGNED)]
+                    | p_access_fault[cause in (EXC_LOAD_ACCESS_FAULT,
+                                               EXC_STORE_ACCESS_FAULT)]
+                )
+            rs.cycles = cycles + p.trap_penalty
             rs.store_buffer.clear()
-            state.pc = state.csr.enter_trap(trap.cause, pc, trap.tval, prv_before)
-            state.priv = PRV_M
-            state.csr.tick()
-            rs.prev1, rs.prev2 = (None, False, False), rs.prev1
-            if rs.traps_taken >= p.max_traps:
-                trace.stop_reason = "max_traps"
-                return False
-            return True
+            rs.prev1, rs.prev2 = (None, False, False), prev1
+            return self._trap(rs, mask, pc, word, cause, trap.tval, priv)
 
-        self.cond("csr.trap_taken", False)
-        rs.cycles += self._execute_conditions(instr, result, state, pc)
-        rs.cycles += self._memory_model(instr, result, memory, rs.store_buffer)
+        mask |= retire
+        next_pc = result.next_pc
+        fall_through = (pc + 4) & WORD_MASK
+        rd = result.rd
+        (p_zero, p_negative, p_div_zero, p_div_overflow, p_redirect,
+         p_enter_user, p_fencei_dirty) = self._execute_pairs
+        if rd:
+            value = result.rd_value
+            mask |= p_zero[value == 0] | p_negative[value >> 63 != 0]
+        if muldiv:
+            if meta & M_DIVLIKE:
+                divisor = state.read_reg(instr.rs2)
+                mask |= (
+                    p_div_zero[divisor == 0]
+                    | p_div_overflow[divisor == WORD_MASK
+                                     and state.read_reg(instr.rs1) == 1 << 63]
+                )
+                cycles += p.div_latency
+            else:
+                cycles += p.mul_latency
+        if result.mem is not None or meta & M_SC:
+            extra, mem_mask = self._memory_model(instr, meta, mem_static,
+                                                 result, memory,
+                                                 rs.store_buffer)
+            cycles += extra
+            mask |= mem_mask
 
-        if spec.is_branch:
-            taken = result.next_pc != (pc + 4) & WORD_MASK
+        if branch is not None:
+            taken = next_pc != fall_through
             self.predictor.update(pc, taken, predicted)
             if taken != predicted:
-                rs.cycles += p.mispredict_penalty
+                cycles += p.mispredict_penalty
+            counts = rs.branch_taken_counts
             if taken:
-                rs.branch_taken_counts[pc] = rs.branch_taken_counts.get(pc, 0) + 1
-            self.cond("frontend.loop_iteration",
-                      taken and rs.branch_taken_counts.get(pc, 0) >= 2)
-            self.cond("frontend.tight_loop",
-                      taken and -64 <= instr.imm < 0)
-            self.cond("execute.beq_taken",
-                      spec.mnemonic == "beq" and taken)
+                counts[pc] = counts.get(pc, 0) + 1
             outcomes = rs.branch_outcomes.setdefault(pc, set())
             outcomes.add(taken)
-            self.cond("frontend.branch_both_ways", len(outcomes) == 2)
-            self.cond("execute.branch_after_cmp",
-                      rs.prev_was_cmp_rd is not None
-                      and rs.prev_was_cmp_rd in (instr.rs1, instr.rs2))
-        if spec.is_jump:
-            self.cond("execute.link_reg_used", instr.rd == 1)
-            if spec.mnemonic == "jal" and instr.rd == 1:
-                self.cond("frontend.call_depth2",
-                          rs.ra_saved and bool(rs.link_stack))
-                rs.link_stack.append((pc + 4) & WORD_MASK)
-                del rs.link_stack[:-8]
-            if spec.mnemonic == "jalr":
-                via_link = instr.rs1 == 1 and bool(rs.link_stack)
-                self.cond("frontend.jalr_to_link", via_link)
-                is_return = (
-                    via_link and instr.rd == 0
-                    and rs.link_stack and result.next_pc == rs.link_stack[-1]
-                )
-                self.cond("frontend.call_return_pair", is_return)
-                if is_return:
-                    rs.link_stack.pop()
-        rs.prev_was_cmp_rd = (
-            instr.rd
-            if spec.mnemonic in ("slt", "sltu", "slti", "sltiu") and instr.rd
-            else None
-        )
-        if spec.is_store and instr.rs2 == 1:
-            rs.ra_saved = True
-        elif spec.is_load and instr.rd == 1:
-            rs.ra_saved = False
-        if spec.is_csr:
-            self.cond("csr.write_read_roundtrip",
-                      not in_handler and instr.csr in rs.csrs_written)
-            will_write = result.csr_write is not None
-            self.cond("csr.mepc_user_write",
-                      not in_handler and will_write
-                      and instr.csr == CSR_MEPC)
-            mpp_cleared = (
-                will_write and instr.csr == CSR_MSTATUS
-                and result.csr_write[1] & 0x1800 == 0
+            cmp_rd = rs.prev_was_cmp_rd
+            p_loop, p_both_ways, p_after_cmp = self._branch_pairs
+            mask |= (
+                branch[taken]
+                | p_loop[taken and counts[pc] >= 2]
+                | p_both_ways[len(outcomes) == 2]
+                | p_after_cmp[cmp_rd is not None
+                              and cmp_rd in (instr.rs1, instr.rs2)]
             )
-            self.cond("csr.mstatus_mpp_clear", mpp_cleared)
+        elif meta & (M_JUMP | M_MRET):
+            mask |= p_redirect[next_pc != fall_through]
+            if meta & M_JUMP:
+                mask |= self._jump_arms(rs, instr, meta, next_pc,
+                                        fall_through)
+            else:
+                mask |= p_enter_user[state.priv == PRV_U]
+        rs.prev_was_cmp_rd = (meta & 31 or None) if meta & M_CMP else None
+        if meta & M_STORE:
+            if instr.rs2 == 1:
+                rs.ra_saved = True
+        elif meta & M_LOAD and instr.rd == 1:
+            rs.ra_saved = False
+        in_handler = rs.handler_lo <= pc < rs.handler_hi
+        if meta & M_CSR:
+            csr = instr.csr
+            csr_write = result.csr_write
+            will_write = csr_write is not None
+            written = rs.csrs_written
+            p_roundtrip, p_mepc_write, p_mpp_clear, p_write = self._csr_pairs
+            mask |= (
+                p_roundtrip[not in_handler and csr in written]
+                | p_mepc_write[not in_handler and will_write
+                               and csr == CSR_MEPC]
+                | p_mpp_clear[will_write and csr == CSR_MSTATUS
+                              and csr_write[1] & 0x1800 == 0]
+                | p_write[will_write]
+            )
             if will_write and not in_handler:
-                rs.csrs_written.add(instr.csr)
-        self.cond("frontend.redirect",
-                  result.next_pc != (pc + 4) & WORD_MASK)
-
-        if spec.mnemonic == "fence.i":
+                written.add(csr)
+        if meta & M_FENCEI:
             dirty = any(
                 line.dirty for ways in self.dcache.lines for line in ways
             )
-            self.cond("mem.fencei_flush", True)
-            self.cond("mem.fencei_dirty", dirty)
+            mask |= p_fencei_dirty[dirty]
             self.icache.invalidate_all()
-            rs.cycles += p.fencei_penalty
-        elif spec.is_fence:
-            self.cond("mem.fencei_flush", False)
-
-        self.cond("csr.mret", spec.mnemonic == "mret")
-        self.cond("csr.enter_user",
-                  spec.mnemonic == "mret" and state.priv == PRV_U)
-        self.cond("csr.wfi", result.halt)
-        self.cond("csr.write", result.csr_write is not None)
+            cycles += p.fencei_penalty
+        self.cov.record_mask(mask)
 
         # ---------------- retire ----------------------------------------
         if not in_handler:
-            trace.append(self.tracer.retire(pc, instr, prv_before, result))
-        if spec.is_muldiv:
-            latency = (
-                p.div_latency if spec.mnemonic.startswith(("div", "rem"))
-                else p.mul_latency
-            )
-            rs.muldiv_busy_until = rs.cycles + latency
+            rs.trace.append(self.tracer.retire(pc, instr, priv, result))
+        if muldiv:
+            rs.muldiv_busy_until = cycles + (
+                p.div_latency if meta & M_DIVLIKE else p.mul_latency)
         rs.prev1, rs.prev2 = (
-            (result.rd if result.rd else None, spec.is_load, spec.is_muldiv),
-            rs.prev1,
+            (rd or None, (meta & M_LOAD) != 0, muldiv != 0),
+            prev1,
         )
-        state.pc = result.next_pc & WORD_MASK
+        rs.cycles = cycles
+        state.pc = next_pc & WORD_MASK
         state.csr.tick()
         if p.timed_counter_csr:
             # Expose the timed cycle count through mcycle — realistic,
             # but a false-positive source vs. the untimed golden model.
-            delta = rs.cycles - state.csr.raw_read(CSR_MCYCLE)
+            delta = cycles - state.csr.raw_read(CSR_MCYCLE)
             if delta > 0:
                 state.csr.tick(cycles=delta, instret=0)
         if result.halt:
-            trace.stop_reason = "wfi"
+            rs.trace.stop_reason = "wfi"
             return False
         return True
 
-    # ---------------------------------------------------------------- fetch --
+    def _trap(self, rs: RunState, mask: int, pc: int, instr_word: int,
+              cause: int, tval: int, priv: int) -> bool:
+        """Take a synchronous trap at ``pc``: record the cycle's arms with
+        the trap-entry group, log the trap and enter the handler."""
+        self.cov.record_mask(mask | self._trap_bits(cause))
+        rs.traps_taken += 1
+        state = rs.state
+        rs.trace.append(TraceEntry(pc=pc, instr=instr_word, priv=priv,
+                                   trap_cause=cause, trap_tval=tval))
+        state.reservation = None
+        state.pc = state.csr.enter_trap(cause, pc, tval, priv)
+        state.priv = PRV_M
+        state.csr.tick()
+        if rs.traps_taken >= self.params.max_traps:
+            rs.trace.stop_reason = "max_traps"
+            return False
+        return True
 
-    def _fetch(self, pc: int, memory: SparseMemory) -> tuple[int, int, bool]:
-        """Fetch through the I$. Returns (word, extra_cycles, fault).
+    def _jump_arms(self, rs: RunState, instr, meta: int, next_pc: int,
+                   fall_through: int) -> int:
+        """Call/return tracking of a retiring jal/jalr; returns its arms."""
+        p_depth2, p_to_link, p_return = self._jump_pairs
+        link_stack = rs.link_stack
+        if meta & M_JAL:
+            if instr.rd != 1:
+                return 0
+            mask = p_depth2[rs.ra_saved and bool(link_stack)]
+            link_stack.append(fall_through)
+            del link_stack[:-8]
+            return mask
+        via_link = instr.rs1 == 1 and bool(link_stack)
+        is_return = (via_link and instr.rd == 0
+                     and next_pc == link_stack[-1])
+        if is_return:
+            link_stack.pop()
+        return p_to_link[via_link] | p_return[is_return]
 
-        With ``bug1_fencei`` enabled, a cached line is served even when the
-        backing memory has since been modified — the stale-instruction
-        behaviour behind CWE-1202.
+    # -------------------------------------------------------- word records --
+
+    def word_record(self, word: int) -> WordRecord:
+        """The :class:`WordRecord` of ``word``, from the bounded table.
+
+        At ``WORD_TABLE_CAP`` entries the table (and the mask interning
+        table) is cleared and rebuilt from the hot working set, matching the
+        decoder's bounded cache instead of growing for a campaign's life.
         """
-        if not memory.is_mapped(pc, 4):
-            self.cond("frontend.fetch_fault", True)
-            return 0, 0, True
-        self.cond("frontend.fetch_fault", False)
-        self.cond("frontend.line_cross",
-                  (pc & (self.icache.line_bytes - 1)) == self.icache.line_bytes - 4)
-        line = self.icache.lookup(pc)
-        if line is None:
-            self.icache.refill(pc, memory.read_bytes)
-            cached = self.icache.read_cached(pc, 4)
-            return int.from_bytes(cached, "little"), self.icache.miss_penalty, False
-        cached = self.icache.read_cached(pc, 4)
-        if not self.params.bug1_fencei:
-            # Clean core: I$ snoops stores, so always serve fresh memory.
-            return int.from_bytes(memory.read_bytes(pc, 4), "little"), 0, False
-        return int.from_bytes(cached, "little"), 0, False
+        rec = self._words.get(word)
+        if rec is None:
+            if len(self._words) >= WORD_TABLE_CAP:
+                self._words.clear()
+                self._masks.clear()
+            rec = self._words[word] = self._build_record(word)
+        return rec
+
+    def _build_record(self, word: int) -> WordRecord:
+        instr = decode(word)
+        arm = self.arm_bit
+        intern = self._masks.setdefault
+        dmask = self._decode_mask(instr)
+        issue = self._fetched_mask | dmask
+        if instr is None:
+            return WordRecord(None, 0, intern(dmask, dmask),
+                              intern(issue, issue), 0, 0, -1, -1, None)
+        spec = instr.spec
+        m = spec.mnemonic
+        meta = _word_meta(instr)
+        if spec.is_csr:
+            issue |= (arm("csr.read_only_violation", meta & M_CSR_RO)
+                      | arm("csr.counter_read", meta & M_CSR_CTR))
+        # The retire group: arms a non-trapping execution records whatever
+        # the data (wfi always halts, only CSR instructions write CSRs,
+        # and only branches, jumps and mret redirect the pc).
+        retire = (arm("csr.trap_taken", False) | arm("csr.mret", m == "mret")
+                  | arm("csr.wfi", m == "wfi"))
+        if m != "mret":
+            retire |= arm("csr.enter_user", False)
+        if not spec.is_csr:
+            retire |= arm("csr.write", False)
+        if not (spec.is_branch or spec.is_jump or m == "mret"):
+            retire |= arm("frontend.redirect", False)
+        if spec.is_muldiv and not meta & M_DIVLIKE:
+            retire |= arm("execute.mul_high", meta & M_MULHI)
+        if meta & M_SHIFTI:
+            retire |= arm("execute.shift_zero_amount", instr.shamt == 0)
+        if spec.is_jump:
+            retire |= arm("execute.link_reg_used", instr.rd == 1)
+        if m == "fence.i":
+            retire |= arm("mem.fencei_flush", True)
+        elif spec.is_fence:
+            retire |= arm("mem.fencei_flush", False)
+        mem = 0
+        if spec.is_memory:
+            imm = 0 if spec.is_amo else instr.imm
+            mem = (arm("mem.misaligned", False)
+                   | arm("mem.access_fault", False)
+                   | arm("mem.is_amo_op", spec.is_amo)
+                   | arm("mem.reservation_set", meta & M_LR)
+                   | arm("mem.base_is_sp", instr.rs1 == 2)
+                   | arm("mem.base_is_gp_tp", instr.rs1 in (3, 4))
+                   | arm("mem.frame_access", instr.rs1 == 2 and 0 <= imm < 64)
+                   | arm("mem.neg_offset_store", spec.is_store and imm < 0))
+        branch = None
+        if spec.is_branch:
+            retire |= arm("execute.br_backward", instr.imm < 0)
+            tight = -64 <= instr.imm < 0
+            branch = tuple(
+                intern(mask, mask) for mask in (
+                    arm("execute.br_taken", taken)
+                    | arm("frontend.redirect", taken)
+                    | arm("frontend.tight_loop", taken and tight)
+                    | arm("execute.beq_taken", taken and m == "beq")
+                    for taken in (False, True)
+                )
+            )
+        return WordRecord(
+            instr, meta, intern(dmask, dmask), intern(issue, issue),
+            intern(retire, retire), intern(mem, mem),
+            instr.rs1 if spec.reads_rs1 and instr.rs1 else -1,
+            instr.rs2 if spec.reads_rs2 and instr.rs2 else -1,
+            branch,
+        )
 
     # ------------------------------------------------------------- conditions --
-
-    def _decode_conditions(self, instr, word: int) -> None:
-        """Record the decode-stage condition group — one OR per instruction.
-
-        All 23 decode conditions are a pure function of the fetched word, so
-        the group's packed arm mask is built once per distinct word and then
-        folded with a single ``record_mask``.
-        """
-        self.record_keyed_group(self._decode_mask_cache, word,
-                                self._decode_mask, instr)
 
     def _decode_mask(self, instr) -> int:
         spec = instr.spec if instr is not None else None
@@ -637,160 +878,126 @@ class RocketCore(Module):
         mask |= arm("decode.word_op", word_op)
         return mask
 
-    def _execute_conditions(self, instr, result, state, pc: int) -> int:
-        """Record execute-stage conditions; returns extra cycles."""
-        spec = instr.spec
-        extra = 0
-        if spec.is_branch:
-            taken = result.next_pc != (pc + 4) & WORD_MASK
-            self.cond("execute.br_taken", taken)
-            self.cond("execute.br_backward", instr.imm < 0)
-        if result.rd is not None and result.rd != 0:
-            self.cond("execute.result_zero", result.rd_value == 0)
-            self.cond("execute.result_negative", bool(result.rd_value >> 63))
-        if spec.is_muldiv:
-            m = spec.mnemonic
-            divlike = m.startswith(("div", "rem"))
-            if divlike:
-                divisor = state.read_reg(instr.rs2)
-                self.cond("execute.div_by_zero", divisor == 0)
-                dividend = state.read_reg(instr.rs1)
-                self.cond(
-                    "execute.div_overflow",
-                    divisor == WORD_MASK and dividend == 1 << 63,
-                )
-                extra += self.params.div_latency
-            else:
-                self.cond("execute.mul_high", m in ("mulh", "mulhsu", "mulhu"))
-                extra += self.params.mul_latency
-        if spec.fmt in ("I_SHIFT64", "I_SHIFT32"):
-            self.cond("execute.shift_zero_amount", instr.shamt == 0)
-        return extra
+    def _memory_model(self, instr, meta: int, static: int, result, memory,
+                      store_buffer: list[int]) -> tuple[int, int]:
+        """D$-side modelling for a successfully executed instruction.
 
-    def _memory_model(self, instr, result, memory, store_buffer: list[int]) -> int:
-        """D$-side modelling for a successfully executed instruction."""
-        spec = instr.spec
+        Returns ``(extra cycles, condition arms)``; ``static`` is the word's
+        memory arms, recorded when the instruction accessed memory.
+        """
+        (p_sc_success, p_sc_fail, p_same_line, p_cross_line, p_reuse3,
+         p_set_thrash, p_victim, p_redirty, p_coalesce, p_spill_reload,
+         p_lr_replay, p_amo_chain, p_streak4, p_sb_full, p_sb_forward,
+         ) = self._mem_pairs
+        mask = 0
         # SC conditions must also fire for *failed* SCs, which perform no
         # memory operation at all.
-        if spec.mnemonic.startswith("sc."):
+        if meta & M_SC:
             failed = result.rd_value != 0
-            self.cond("mem.sc_success", not failed)
-            self.cond("mem.sc_after_store_fail", failed and self._resv_broken)
+            mask = (p_sc_success[not failed]
+                    | p_sc_fail[failed and self._resv_broken])
             self._resv_addr = None
             self._resv_broken = False
-        if result.mem is None:
-            return 0
+        op = result.mem
+        if op is None:
+            return 0, mask
         extra = 0
-        addr = result.mem.addr
-        self.cond("mem.misaligned", False)
-        self.cond("mem.access_fault", False)
-        self.cond("mem.is_amo_op", spec.is_amo)
-        self.cond("mem.reservation_set", spec.mnemonic.startswith("lr."))
-        # Addressing-idiom and locality conditions.
-        imm = instr.imm if not spec.is_amo else 0
-        is_store = result.mem.is_store
-        self.cond("mem.base_is_sp", instr.rs1 == 2)
-        self.cond("mem.base_is_gp_tp", instr.rs1 in (3, 4))
-        self.cond("mem.frame_access", instr.rs1 == 2 and 0 <= imm < 64)
-        self.cond("mem.neg_offset_store", is_store and imm < 0)
-        line_key = addr // self.dcache.line_bytes
-        self.cond("mem.same_line_reuse", line_key == self._last_line)
-        self.cond("mem.cross_line_pair",
-                  self._last_line is not None
-                  and abs(line_key - self._last_line) == 1)
+        addr = op.addr
+        is_store = op.is_store
+        dcache = self.dcache
+        mask |= static
+        # Locality conditions.
+        line_key = addr // dcache.line_bytes
+        last = self._last_line
+        mask |= (p_same_line[line_key == last]
+                 | p_cross_line[last is not None
+                                and abs(line_key - last) == 1])
         self._last_line = line_key
 
-        # Line-reuse / conflict FSM tracking.
+        # Line-reuse / conflict FSM tracking: set_thrash needs a second
+        # line of this line's set touched twice or more.
         touches = self._line_touches
-        touches[line_key] = touches.get(line_key, 0) + 1
-        self.cond("mem.line_reuse3", touches[line_key] >= 3)
-        set_idx = self.dcache.set_index(addr)
-        same_set_hot = [
-            key for key, count in touches.items()
-            if count >= 2 and self.dcache.set_index(key * self.dcache.line_bytes) == set_idx
-        ]
-        self.cond("mem.set_thrash",
-                  touches[line_key] >= 2 and len(same_set_hot) >= 2)
-        self.cond("mem.victim_revisit", line_key in self._evicted_lines)
-        self.cond("mem.redirty", is_store and self.dcache.is_dirty(addr))
-        self.cond("mem.coalesce", is_store and addr == self._last_store_addr)
+        count = touches[line_key] = touches.get(line_key, 0) + 1
+        set_bits = dcache._index_mask
+        set_idx = line_key & set_bits
+        mask |= (
+            p_reuse3[count >= 3]
+            | p_set_thrash[count >= 2 and sum(
+                1 for key, n in touches.items()
+                if n >= 2 and key & set_bits == set_idx) >= 2]
+            | p_victim[line_key in self._evicted_lines]
+            | p_redirty[is_store and dcache.is_dirty(addr)]
+            | p_coalesce[is_store and addr == self._last_store_addr]
+        )
         if is_store:
             self._last_store_addr = addr
 
         # Spill/reload: sp-relative store slot later loaded back.
-        if instr.rs1 == 2 and not spec.is_amo:
+        if instr.rs1 == 2 and not meta & M_AMO:
             if is_store:
                 self._sp_slots.add(addr)
-                self.cond("mem.spill_reload", False)
+                mask |= p_spill_reload[False]
             else:
-                self.cond("mem.spill_reload", addr in self._sp_slots)
+                mask |= p_spill_reload[addr in self._sp_slots]
 
         # LR reservation FSM (the SC side is handled above, before the
         # early-return, so failed SCs participate too).
-        m = spec.mnemonic
-        if m.startswith("lr."):
-            self.cond("mem.lr_replay", self._resv_addr is not None)
+        if meta & M_LR:
+            mask |= p_lr_replay[self._resv_addr is not None]
             self._resv_addr = addr
             self._resv_broken = False
-        elif is_store and not m.startswith("sc.") and addr == self._resv_addr:
+        elif is_store and not meta & M_SC and addr == self._resv_addr:
             self._resv_broken = True
             self._resv_addr = None
 
         # Chained atomics.
-        if spec.is_amo and not m.startswith(("lr.", "sc.")):
-            self.cond("mem.amo_chain",
-                      self._amo_rd is not None and self._amo_age <= 4
-                      and self._amo_rd in (instr.rs1, instr.rs2))
+        if meta & M_AMO and not meta & (M_LR | M_SC):
+            amo_rd = self._amo_rd
+            mask |= p_amo_chain[amo_rd is not None and self._amo_age <= 4
+                                and amo_rd in (instr.rs1, instr.rs2)]
             if result.rd:
                 self._amo_rd = result.rd
                 self._amo_age = 0
         self._amo_age += 1
 
-        line = self.dcache.lookup(addr)
+        line = dcache.lookup(addr)
         if line is not None:
             self._hit_streak += 1
         else:
             self._hit_streak = 0
-        self.cond("mem.hit_streak4", self._hit_streak >= 4)
+        mask |= p_streak4[self._hit_streak >= 4]
         if line is None:
-            self.dcache.refill(addr, memory.read_bytes)
-            if self.dcache.last_evicted is not None:
-                self._evicted_lines.add(self.dcache.last_evicted)
-            extra += self.dcache.miss_penalty
-        self._prev_load_missed = spec.is_load and line is None
-        if result.mem.is_store:
-            data = result.mem.data.to_bytes(result.mem.size, "little")
-            self.dcache.update_stored_line(addr, data)
-            self.cond("mem.storebuf_full",
-                      len(store_buffer) >= self.params.store_buffer_depth)
-            if len(store_buffer) >= self.params.store_buffer_depth:
+            dcache.refill(addr, memory.read_bytes)
+            if dcache.last_evicted is not None:
+                self._evicted_lines.add(dcache.last_evicted)
+            extra += dcache.miss_penalty
+        self._prev_load_missed = (meta & M_LOAD) != 0 and line is None
+        if is_store:
+            dcache.update_stored_line(addr, op.data.to_bytes(op.size, "little"))
+            full = len(store_buffer) >= self.params.store_buffer_depth
+            mask |= p_sb_full[full]
+            if full:
                 extra += 1
                 store_buffer.pop(0)
             store_buffer.append(addr)
         else:
-            self.cond("mem.storebuf_forward", addr in store_buffer)
+            mask |= p_sb_forward[addr in store_buffer]
             if store_buffer:
                 store_buffer.pop(0)
-        return extra
+        return extra, mask
 
-    def _trap_conditions(self, cause: int) -> None:
-        """Record the trap-entry condition group — mask memoized per cause."""
-        self.record_keyed_group(self._trap_mask_cache, cause,
-                                self._trap_mask, cause)
+    def _trap_bits(self, cause: int) -> int:
+        """The trap-entry group's arms for ``cause``, memoized per cause."""
+        mask = self._trap_mask_cache.get(cause)
+        if mask is None:
+            mask = self._trap_mask_cache[cause] = self._trap_mask(cause)
+        return mask
 
     def _trap_mask(self, cause: int) -> int:
         mask = self.arm_bit("csr.trap_taken", True)
         for c in _CAUSE_CONDITIONS:
             mask |= self.arm_bit(f"csr.cause_is_{c}", cause == c)
         return mask
-
-    def _mem_fault_conditions(self, instr, trap: Trap) -> None:
-        if instr is None or not instr.spec.is_memory:
-            return
-        self.cond("mem.misaligned",
-                  trap.cause in (EXC_LOAD_MISALIGNED, EXC_STORE_MISALIGNED))
-        self.cond("mem.access_fault",
-                  trap.cause in (EXC_LOAD_ACCESS_FAULT, EXC_STORE_ACCESS_FAULT))
 
     # ----------------------------------------------------------- Finding1 ----
 

@@ -35,6 +35,13 @@ class Tracer(Module):
             "x0_amo_quirk",      # Finding2 activation
             "x0_jalr_quirk",     # Finding3 activation
         )
+        # retire() folds the group into one record_mask, indexing prebound
+        # (false_bit, true_bit) pairs with each condition's value.
+        self._pairs = tuple(
+            (self.arm_bit(name, False), self.arm_bit(name, True))
+            for name in ("suppress_muldiv", "x0_amo_quirk", "x0_jalr_quirk",
+                         "emit_rd")
+        )
 
     def reset(self) -> None:
         super().reset()
@@ -49,38 +56,38 @@ class Tracer(Module):
     ) -> TraceEntry:
         """Build the trace record for one retired instruction."""
         spec = instr.spec
+        p = self.params
         rd: int | None = result.rd if result.rd not in (None, 0) else None
         rd_value = result.rd_value if rd is not None else 0
 
-        suppress = self.params.bug2_tracer_muldiv and spec.is_muldiv
-        self.cond("suppress_muldiv", suppress)
+        suppress = p.bug2_tracer_muldiv and spec.is_muldiv
         if suppress:
             rd = None
             rd_value = 0
 
         amo_quirk = (
-            self.params.finding2_amo_x0_trace
+            p.finding2_amo_x0_trace
             and spec.is_amo
-            and not spec.mnemonic.startswith(("lr.", "sc."))
             and result.rd == 0
+            and not spec.mnemonic.startswith(("lr.", "sc."))
         )
-        self.cond("x0_amo_quirk", amo_quirk)
         if amo_quirk:
             rd = 0
             rd_value = result.rd_value
 
         jalr_quirk = (
-            self.params.finding3_x0_trace
-            and spec.mnemonic == "jalr"
-            and instr.rd == 0
+            p.finding3_x0_trace
             and self._prev_was_load
+            and instr.rd == 0
+            and spec.mnemonic == "jalr"
         )
-        self.cond("x0_jalr_quirk", jalr_quirk)
         if jalr_quirk:
             rd = 0
             rd_value = (pc + 4) & 0xFFFF_FFFF_FFFF_FFFF
 
-        self.cond("emit_rd", rd is not None)
+        p_suppress, p_amo, p_jalr, p_emit = self._pairs
+        self.cov.record_mask(p_suppress[suppress] | p_amo[amo_quirk]
+                             | p_jalr[jalr_quirk] | p_emit[rd is not None])
         self._prev_was_load = spec.is_load
         return TraceEntry(
             pc=pc,

@@ -14,10 +14,13 @@ from repro.analysis.fleet import (
 )
 from repro.analysis.fleet import fleet_health_table, fleet_stats_table
 from repro.analysis.report import format_table, store_report
-from repro.fuzzing.campaign import CampaignResult
+from repro.baselines.random_regression import RandomRegressionGenerator
+from repro.fuzzing.campaign import Campaign, CampaignResult
+from repro.fuzzing.chatfuzz import FuzzLoop
 from repro.fuzzing.fleet import FleetHealth, FleetStats
 from repro.fuzzing.mismatch import Mismatch
-from repro.obs.store import StoreAggregates
+from repro.obs.store import ResultsStore, StoreAggregates, StoreSink
+from repro.soc.harness import make_harness
 
 
 def mismatch(kind, *signature_tail):
@@ -235,3 +238,23 @@ class TestStoreReport:
         report = store_report(StoreAggregates())
         assert "runs: 0" in report
         assert "E-BUGS (0 unique signatures)" in report
+
+    def test_fleet_timing_renders_as_measured(self):
+        report = store_report(self.aggregates())
+        assert "wall: 2.0s  busy: 1.5s  utilisation: 75%" in report
+
+    def test_single_campaign_store_reports_timing_as_na(self, tmp_path):
+        """A store written by a standalone Campaign has no fleet_started
+        event, so it has no fleet wall/busy time to report: the header says
+        n/a instead of a misleading 0.0s / 0%."""
+        store = ResultsStore(tmp_path)
+        sink = StoreSink(store)
+        loop = FuzzLoop(RandomRegressionGenerator(body_instructions=8, seed=1),
+                        make_harness("rocket"), batch_size=4, sink=sink)
+        Campaign(loop, "random").run_tests(8)
+        sink.close()
+        aggregates = store.aggregate()
+        assert aggregates.runs == 0
+        assert aggregates.total_tests == 8
+        report = store_report(aggregates)
+        assert "wall: n/a  busy: n/a  utilisation: n/a" in report
