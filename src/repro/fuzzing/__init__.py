@@ -14,9 +14,9 @@
   process-pool :class:`~repro.fuzzing.pool.ShardedExecutor`.
 - :class:`~repro.fuzzing.fleet.FleetRunner` — whole *fleets* of campaigns
   (declarative :class:`~repro.fuzzing.fleet.CampaignSpec` arms) sharded over
-  a process pool, budget-scheduled (:mod:`repro.fuzzing.scheduler`) in
-  barrier-synchronised rounds or as an event-driven stream of slices,
-  checkpointable, and aggregated into a
+  a process pool, budget-scheduled (:mod:`repro.fuzzing.scheduler`)
+  through one dispatch loop that streams slices or runs them in
+  barrier-synchronised rounds, checkpointable, and aggregated into a
   :class:`~repro.fuzzing.fleet.FleetResult` (dispatch accounting in
   :class:`~repro.fuzzing.fleet.FleetStats`), with fault tolerance —
   slice retry, pool self-healing, timeouts, arm quarantine — reported in

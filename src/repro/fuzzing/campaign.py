@@ -87,15 +87,6 @@ class Campaign:
 
         with Campaign(FuzzLoop(gen, factory, executor=exec_), "c") as camp:
             result = camp.run_tests(1000)
-
-    A *pipelined* loop (``FuzzLoop(..., pipeline=True)``) works with every
-    whole-budget entry point below and keeps one generated batch in flight
-    between calls; exiting the context discards that prefetch (call
-    ``loop.drain()`` first to fold it into the result instead).  The slice
-    API is the exception: :meth:`state_dict` snapshots cannot represent an
-    in-flight batch, so fleet campaigns — whose slices are shipped between
-    workers as state dicts — run synchronous loops by construction (see
-    ``CampaignSpec.build_campaign``).
     """
 
     def __init__(self, loop: FuzzLoop, name: str = "campaign") -> None:
@@ -174,10 +165,7 @@ class Campaign:
         Together with the :class:`~repro.fuzzing.fleet.CampaignSpec` that
         built this campaign, the state dict fully determines future
         behaviour: fleets ship it between scheduler slices (any worker can
-        continue any campaign) and persist it in checkpoints.  Raises if
-        the loop has a pipelined batch in flight (drain it first) — a
-        snapshot that silently dropped a prefetch would break the
-        resume-equality guarantee.
+        continue any campaign) and persist it in checkpoints.
         """
         return {
             "loop": self.loop.state_dict(),

@@ -14,24 +14,12 @@ Per batch:
    total) and the scores are fed back to the generator via ``observe`` —
    mutation fuzzers use them for corpus selection; the LLM generator may use
    them for online PPO.
-
-Pipelined mode (``FuzzLoop(..., pipeline=True)``) overlaps stage 1 of batch
-N+1 with stage 2 of batch N: generation is CPU-bound numpy decode in the
-parent process, execution runs on the executor (a process pool for
-:class:`~repro.fuzzing.pool.ShardedExecutor`), so the two use disjoint
-resources.  Each ``run_batch`` call still folds exactly one batch into
-campaign state and ``observe`` still sees whole batches in submission
-order; the one semantic shift is a one-batch feedback lag — batch N+1 is
-generated *before* batch N's scores reach ``observe`` — so feedback-free
-generators are byte-identical to synchronous mode while feedback-driven
-ones learn from a stream delayed by one batch (pinned by
-``tests/fuzzing/test_pipeline.py``).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.coverage.calculator import CoverageCalculator, InputCoverage
 from repro.coverage.scoring import CoverageScorer
@@ -81,16 +69,6 @@ class FuzzLoop:
         executor=ShardedExecutor(n_workers=4))`` just works.  Whatever the
         strategy, per-test results reach the calculator, detector and
         generator feedback in submission order, identical to serial.
-    pipeline:
-        Overlap generation of batch N+1 with execution of batch N via the
-        executor's ``submit_batch``/``collect`` split (see module
-        docstring).  With a :class:`SerialExecutor` the split defers
-        execution to collect time, so the loop degenerates to the
-        synchronous path; the overlap only buys wall-clock with a
-        pool-backed executor.  A pipelined loop keeps one generated batch
-        in flight between ``run_batch`` calls — :meth:`drain` folds it,
-        :meth:`close` discards it, and :meth:`state_dict` refuses to
-        snapshot around it.
     sink:
         Telemetry sink (:mod:`repro.obs.events`).  With the default
         :data:`~repro.obs.events.NULL_SINK` the loop does *no* telemetry
@@ -113,9 +91,11 @@ class FuzzLoop:
         use_default_filters: bool = True,
         scorer: CoverageScorer | None = None,
         executor: HarnessExecutor | None = None,
-        pipeline: bool = False,
         sink: EventSink = NULL_SINK,
     ) -> None:
+        if batch_size < 1:
+            # An empty batch never advances tests_run: budgets would spin.
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.generator = generator
         self.sink = sink
         if executor is None:
@@ -124,7 +104,6 @@ class FuzzLoop:
             executor.bind(harness)
         self.executor = executor
         self.batch_size = batch_size
-        self.pipeline = pipeline
         self.clock = clock or SimClock()
         self.calculator = CoverageCalculator(executor.total_arms, batch_mode=True)
         self.scorer = scorer or CoverageScorer()
@@ -132,8 +111,6 @@ class FuzzLoop:
             filters=[counter_csr_filter] if use_default_filters else []
         )
         self.tests_run = 0
-        #: Pipelined mode's prefetched batch: (inputs, executor handle).
-        self._inflight: tuple[list[TestInput], object] | None = None
 
     @property
     def harness(self):
@@ -142,14 +119,7 @@ class FuzzLoop:
 
     def close(self) -> None:
         """Release executor resources (worker processes, for pooled runs).
-
-        Idempotent, and safe with a pipelined batch still in flight: the
-        prefetch is discarded (its results are never folded, so campaign
-        state stays consistent) and the executor's own close cancels or
-        drains any worker-side chunks.  Call :meth:`drain` first to keep
-        the prefetched batch instead.
-        """
-        self._inflight = None
+        Idempotent."""
         self.executor.close()
 
     def __enter__(self) -> "FuzzLoop":
@@ -171,11 +141,6 @@ class FuzzLoop:
         batches exactly, which is what lets a fleet continue a campaign on
         any worker (see ``repro.fuzzing.fleet``).
         """
-        if self._inflight is not None:
-            raise RuntimeError(
-                "a pipelined batch is in flight; drain() the loop before "
-                "snapshotting — the prefetch is not part of the state dict"
-            )
         return {
             "generator": self.generator,
             "detector": self.detector,
@@ -207,39 +172,16 @@ class FuzzLoop:
             for body in bodies
         ]
 
-    def _submit(self) -> tuple[list[TestInput], object]:
-        inputs = self._generate_inputs()
-        return inputs, self.executor.submit_batch(
-            [test.words for test in inputs]
-        )
-
     def run_batch(self) -> BatchOutcome:
-        if not self.pipeline:
-            if self.sink.enabled:
-                return self._run_batch_timed()
-            inputs = self._generate_inputs()
-            # Simulate the whole batch first (possibly sharded over workers)
-            # and only then fold results into campaign state, so a failed
-            # batch leaves tests_run / coverage / mismatch accounting
-            # untouched.
-            results = self.executor.run_batch(
-                [test.words for test in inputs]
-            )
-            return self._fold(inputs, results)
-        # Pipelined: batch N is already in flight (or submitted now, on the
-        # first call); prefetch batch N+1 so the executor's workers simulate
-        # N while the parent generates N+1, then collect and fold N.
-        inflight = self._inflight if self._inflight is not None \
-            else self._submit()
-        self._inflight = None  # a collect failure must not be re-collected
-        next_inflight = self._submit()
-        try:
-            results = self.executor.collect(inflight[1])
-        except BaseException:
-            self._inflight = next_inflight  # keep the healthy prefetch
-            raise
-        self._inflight = next_inflight
-        return self._fold(inflight[0], results)
+        if self.sink.enabled:
+            return self._run_batch_timed()
+        inputs = self._generate_inputs()
+        # Simulate the whole batch first (possibly sharded over workers)
+        # and only then fold results into campaign state, so a failed
+        # batch leaves tests_run / coverage / mismatch accounting
+        # untouched.
+        results = self.executor.run_batch([test.words for test in inputs])
+        return self._fold(inputs, results)
 
     def _run_batch_timed(self) -> BatchOutcome:
         """The synchronous batch with per-phase timers (enabled sinks only).
@@ -249,8 +191,7 @@ class FuzzLoop:
         hot-path regressions show up in the results store, not just in
         ``BENCH_*.json``.  Phase structure and fold semantics are identical
         to the untimed path; only ``perf_counter`` sampling and event
-        emission are added.  Pipelined loops skip the timers (their phases
-        overlap by design, so per-phase wall time would be misleading).
+        emission are added.
         """
         t0 = time.perf_counter()
         inputs = self._generate_inputs()
@@ -266,20 +207,6 @@ class FuzzLoop:
             mismatches=outcome.mismatch_count,
         )
         return outcome
-
-    def drain(self) -> BatchOutcome | None:
-        """Collect and fold the pipelined in-flight batch, if any.
-
-        Returns its :class:`BatchOutcome` (``None`` when nothing is in
-        flight).  After draining, the loop has no prefetch outstanding, so
-        :meth:`state_dict` is valid again and a sync/pipelined pair that
-        folded the same number of batches is directly comparable.
-        """
-        if self._inflight is None:
-            return None
-        inputs, handle = self._inflight
-        self._inflight = None
-        return self._fold(inputs, self.executor.collect(handle))
 
     def _fold(self, inputs: list[TestInput], results) -> BatchOutcome:
         unique_before = self.detector.unique_count if self.sink.enabled else 0

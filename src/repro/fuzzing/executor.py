@@ -14,15 +14,6 @@ Whatever the strategy, :meth:`HarnessExecutor.run_batch` returns results in
 **submission order**, so the coverage calculator, mismatch detector, sim
 clock and generator feedback all see byte-identical streams to the serial
 path — pinned by the parity tests in ``tests/fuzzing/test_executor.py``.
-
-Executors also expose the asynchronous split :meth:`HarnessExecutor.
-submit_batch` / :meth:`HarnessExecutor.collect`, which is what lets a
-pipelined :class:`~repro.fuzzing.chatfuzz.FuzzLoop` overlap generating
-batch N+1 with the (pool-side) execution of batch N.  The base
-implementation *defers*: ``submit_batch`` just records the bodies and
-``collect`` runs them synchronously, so :class:`SerialExecutor` degenerates
-to the plain synchronous path and the split is safe to use against any
-executor.  Collected results are in submission order either way.
 """
 
 from __future__ import annotations
@@ -48,20 +39,6 @@ class DifferentialResult:
     dut_trace: CommitTrace
     golden_trace: CommitTrace
     report: CoverageReport
-
-
-@dataclass
-class DeferredBatch:
-    """Handle for a batch whose execution is deferred to :meth:`collect`.
-
-    The base executor's ``submit_batch`` returns one of these; executors
-    with real asynchronous submission (the process pool) return their own
-    handle type instead.  Handles are single-use tokens — collect each one
-    exactly once, on the executor that issued it.
-    """
-
-    bodies: list[list[int]]
-    collected: bool = False
 
 
 def _as_factory(harness_or_factory):
@@ -131,34 +108,6 @@ class HarnessExecutor:
     def run_batch(self, bodies: list[list[int]]) -> list[DifferentialResult]:
         """Differentially simulate every body; results in submission order."""
         raise NotImplementedError
-
-    # -- asynchronous split ----------------------------------------------------
-
-    def submit_batch(self, bodies: list[list[int]]):
-        """Begin executing a batch; returns an opaque handle for
-        :meth:`collect`.
-
-        The base implementation defers execution entirely — the handle
-        carries the bodies and :meth:`collect` runs them via
-        :meth:`run_batch` — which is the correct degenerate behaviour for
-        in-process executors: there is no second resource to overlap with,
-        so eager in-process execution would only reorder work for nothing.
-        Pool-backed executors override this pair to dispatch immediately.
-        """
-        return DeferredBatch(list(bodies))
-
-    def collect(self, handle) -> list[DifferentialResult]:
-        """Wait for a :meth:`submit_batch` handle; results in submission
-        order.  Each handle may be collected exactly once."""
-        if not isinstance(handle, DeferredBatch):
-            raise TypeError(
-                f"{type(self).__name__}.collect got {type(handle).__name__}, "
-                "expected a handle from this executor's submit_batch"
-            )
-        if handle.collected:
-            raise RuntimeError("batch handle was already collected")
-        handle.collected = True
-        return self.run_batch(handle.bodies)
 
     def close(self) -> None:
         """Release executor resources (idempotent)."""

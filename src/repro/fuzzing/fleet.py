@@ -18,13 +18,15 @@ experiment engine:
 - budget scheduling — :meth:`FleetRunner.run_scheduled` allocates the
   shared budget in slices through a pluggable
   :class:`~repro.fuzzing.scheduler.BudgetScheduler` (round-robin baseline
-  or MABFuzz-style UCB1 bandit rewarded by new fleet-union coverage), in
-  one of two dispatch modes: ``"rounds"`` (barrier-synchronised, fully
-  deterministic) or ``"streaming"`` (futures-based — each slice is folded
-  into the fleet union, fed to the scheduler and replaced by the next
-  dispatch the moment it completes, so workers never idle at a round
-  barrier; see the determinism contract on :meth:`FleetRunner.
-  run_scheduled`).
+  or MABFuzz-style UCB1 bandit rewarded by new fleet-union coverage).
+  One dispatch loop keeps at most one slice per worker slot in flight.
+  In ``"streaming"`` mode each slice is folded into the fleet union, fed
+  to the scheduler and replaced by the next dispatch the moment it
+  completes, so workers never idle at a round barrier; ``"rounds"`` is
+  the same loop plus a barrier, fully deterministic (see the
+  determinism contract on :meth:`FleetRunner.run_scheduled`).
+  :meth:`FleetRunner.run` is the streaming loop with round-robin picks
+  and each arm's whole budget as one slice.
 - checkpoint/resume — with ``checkpoint_dir`` set, per-campaign state is
   snapshotted as JSON (scalars + curve) + ``.cov`` bitmap + ``.pkl``
   (generator/detector) incrementally, as each slice completes (round mode
@@ -153,6 +155,11 @@ class CampaignSpec:
 
     def __post_init__(self) -> None:
         # Fail at spec construction, not inside a pool worker mid-run.
+        if self.batch_size < 1:
+            raise ValueError(
+                f"spec {self.name!r}: batch_size must be >= 1, "
+                f"got {self.batch_size}"
+            )
         self.harness_factory()
 
     def harness_factory(self) -> HarnessFactory:
@@ -188,10 +195,8 @@ class CampaignSpec:
     def build_campaign(self) -> Campaign:
         """Materialise the campaign shell (harness elaboration happens here).
 
-        Always a :class:`SerialExecutor` and a synchronous (non-pipelined)
-        loop inside: fleet workers are already processes, so the
-        differential step must stay in-process, and slice state dicts
-        cannot ship an in-flight pipelined batch between workers.
+        Always a :class:`SerialExecutor` inside: fleet workers are already
+        processes, so the differential step must stay in-process.
         """
         loop = FuzzLoop(
             self.build_generator(),
@@ -829,12 +834,15 @@ class FleetRunner:
         ``retry_backoff * 2**k`` seconds before re-dispatch.  ``0``
         retries immediately (what the deterministic tests use).
     slice_timeout:
-        Seconds a slice may hold a worker slot.  Pooled, it is a dispatch
-        deadline — an overdue slice's pool is recycled (a hung worker
-        cannot be interrupted individually) and innocent in-flight slices
-        are requeued without being charged; in-process it is enforced
-        post-hoc on the slice's busy seconds.  Timeouts count as
-        retryable failures.  None (default) disables the mechanism.
+        Seconds a slice may hold a worker slot.  Pooled, it is a deadline
+        set when the slice is submitted; the dispatch loop submits no more
+        slices than there are worker slots, so the clock runs only while
+        the slice holds a worker.  An overdue slice's pool is recycled (a
+        hung worker cannot be interrupted individually) and innocent
+        in-flight slices are requeued without being charged; in-process
+        it is enforced post-hoc on the slice's busy seconds.  Timeouts
+        count as retryable failures.  None (default) disables the
+        mechanism.
     quarantine:
         When an arm exhausts its retries: ``True`` (default) quarantines
         it — the fleet completes with partial results and the failure
@@ -1024,9 +1032,9 @@ class FleetRunner:
 
         Only ``Exception``s are retryable — ``KeyboardInterrupt``,
         ``SystemExit`` and other ``BaseException``s (an operator kill)
-        abort the fleet with checkpoints intact.  ``on_quarantine`` (may
-        be None) lets each dispatch loop release its own bookkeeping for
-        the removed arm and persist the decision immediately.
+        abort the fleet with checkpoints intact.  ``on_quarantine`` lets
+        the dispatch loop release the removed arm's bookkeeping and
+        persist the decision immediately.
         """
         if not isinstance(exc, Exception):
             raise exc
@@ -1066,8 +1074,7 @@ class FleetRunner:
                 error=record.error, retries=record.retries,
                 tests_run=record.tests_run,
             )
-        if on_quarantine is not None:
-            on_quarantine(task)
+        on_quarantine(task)
         return None
 
     def _run_task_local(self, task: _SliceTask, health: FleetHealth,
@@ -1116,7 +1123,8 @@ class FleetRunner:
                      task: _SliceTask, health: FleetHealth) -> None:
         """Submit one slice to the pool (rebuilding it once if the submit
         itself finds the pool broken — the task never ran, so no attempt
-        is charged)."""
+        is charged).  Its ``slice_timeout`` deadline starts here, which is
+        why the dispatch loop only submits to a free worker slot."""
         if self.slice_timeout is not None and task.deadline is None:
             task.deadline = time.monotonic() + self.slice_timeout
         fault = self._fault_for(task)
@@ -1224,35 +1232,6 @@ class FleetRunner:
             self._submit_task(inflight, task, health)
         return completed
 
-    def _execute_barrier(self, tasks: list[_SliceTask], health: FleetHealth,
-                         on_quarantine) -> dict[int, tuple]:
-        """Run every task to completion (with retry/healing/quarantine):
-        ``{arm: output}`` — quarantined arms are simply absent.  The round
-        mode's primitive; the streaming loop drives :meth:`_pump` itself.
-        """
-        if self._closed:
-            raise RuntimeError("FleetRunner is closed")
-        outputs: dict[int, tuple] = {}
-        if self.n_workers == 0:
-            for task in tasks:
-                finished = self._run_task_local(task, health, on_quarantine)
-                if finished is not None:
-                    outputs[finished[0].arm] = finished[1]
-            return outputs
-        inflight: dict[Future, _SliceTask] = {}
-        try:
-            for task in tasks:
-                self._submit_task(inflight, task, health)
-            while inflight:
-                for task, output in self._pump(inflight, health,
-                                               on_quarantine):
-                    outputs[task.arm] = output
-        except BaseException:
-            for future in inflight:
-                future.cancel()
-            raise
-        return outputs
-
     # -- checkpoint plumbing ---------------------------------------------------
 
     @staticmethod
@@ -1337,93 +1316,16 @@ class FleetRunner:
         """Run every spec to its full ``budget_tests`` (one slice each).
 
         The basic sharding mode: N independent campaigns spread over the
-        pool, gathered in spec order.  Dispatch is event-driven: each
-        campaign is checkpointed the moment its slice completes (not at an
-        end-of-fleet barrier), so a kill loses only in-flight work.  With a
-        checkpoint, arms that already reached their budget are not re-run,
-        and arms quarantined by a previous run stay quarantined.
+        pool, gathered in spec order.  It is the streaming loop of
+        :meth:`run_scheduled` with round-robin picks and each arm's
+        remaining budget as its one slice, so each campaign is
+        checkpointed the moment its slice completes and a kill loses only
+        in-flight work.  With a checkpoint, arms that already reached
+        their budget are not re-run, and arms quarantined by a previous
+        run stay quarantined.  Its manifests hold no scheduler state, so
+        they resume under :meth:`run_scheduled` with any scheduler.
         """
-        if self._closed:
-            raise RuntimeError("FleetRunner is closed")
-        started = time.perf_counter()
-        states, rounds, health = self._load_states(scheduler=None)
-        quarantined = health.quarantined_arms()
-        tasks = []
-        for index, spec in enumerate(self.specs):
-            if index in quarantined:
-                continue
-            remaining = spec.budget_tests - self._state_tests(states.get(index))
-            if remaining > 0:
-                tasks.append(_SliceTask(index, remaining, states.get(index),
-                                        ordinal=0))
-        stats = self._begin_stats("whole-budget", concurrency=len(tasks),
-                                  health=health)
-        if self.sink.enabled:
-            self.sink.emit(
-                "fleet_started", mode="whole-budget",
-                n_workers=self.n_workers, worker_slots=stats.worker_slots,
-                arms=len(self.specs),
-                resumed_tests=sum(self._state_tests(s)
-                                  for s in states.values()),
-            )
-        results: dict[int, CampaignResult] = {}
-        meta = {"rounds": rounds}
-
-        def fold(task: _SliceTask, output) -> None:
-            state, result, busy, _events = output
-            ran = result.tests_run - self._state_tests(states.get(task.arm))
-            self._emit_completion(task.arm, output, ran)
-            states[task.arm] = state
-            results[task.arm] = result
-            stats.busy_seconds += busy
-            stats.slices += 1
-            stats.tests += ran
-            meta["rounds"] += 1
-            self._save_round(states, None, meta["rounds"], dirty=[task.arm],
-                             health=health)
-
-        def on_quarantine(task: _SliceTask) -> None:
-            # The arm's last good state (if any) is already in ``states``;
-            # persist the quarantine decision itself right away.
-            self._save_round(states, None, meta["rounds"], dirty=[],
-                             health=health)
-
-        if self.n_workers == 0:
-            for task in tasks:
-                finished = self._run_task_local(task, health, on_quarantine)
-                if finished is not None:
-                    fold(*finished)
-        else:
-            inflight: dict[Future, _SliceTask] = {}
-            try:
-                for task in tasks:
-                    self._submit_task(inflight, task, health)
-                while inflight:
-                    for task, output in self._pump(inflight, health,
-                                                   on_quarantine):
-                        fold(task, output)
-            except BaseException:
-                for future in inflight:
-                    future.cancel()
-                raise
-        stats.wall_seconds = time.perf_counter() - started
-        for index, spec in enumerate(self.specs):
-            if index not in results:  # prior run, quarantined, or n=0
-                results[index] = (
-                    self._result_from_state(spec.name, states[index])
-                    if index in states else CampaignResult(name=spec.name)
-                )
-        fleet_result = FleetResult(
-            [results[i] for i in range(len(self.specs))], health=health
-        )
-        if self.sink.enabled:
-            self.sink.emit(
-                "fleet_finished", mode="whole-budget",
-                wall_seconds=stats.wall_seconds,
-                busy_seconds=stats.busy_seconds, slices=stats.slices,
-                tests=stats.tests, union_percent=fleet_result.union_percent,
-            )
-        return fleet_result
+        return self._run(RoundRobin(), "whole-budget")
 
     def run_scheduled(self, scheduler: BudgetScheduler | None = None,
                       slice_tests: int = 64,
@@ -1433,28 +1335,32 @@ class FleetRunner:
                       mode: str = "rounds") -> FleetResult:
         """Allocate the budget in slices via ``scheduler`` (MABFuzz-style).
 
-        ``mode="rounds"`` (the default) is barrier-synchronised: each round
-        the scheduler picks up to ``concurrent_slices`` distinct arms
-        (default: the worker count); their slices run concurrently, then
-        the scheduler is updated in pick order with each slice's reward —
-        the arm's *new* contribution to the fleet-wide coverage union,
-        normalised by the universe size.  Rounds are deterministic for a
-        given configuration regardless of worker timing, at the cost of
-        every round waiting for its slowest slice.
+        Both modes share one dispatch loop, which keeps at most
+        ``worker_slots`` slices in flight: one in-process, else the worker
+        count clamped by ``concurrent_slices`` (default: the worker
+        count).  Each finished slice is folded into the fleet-wide
+        coverage union and reported to ``scheduler.on_slice_complete``
+        with its reward — the arm's *new* contribution to the union,
+        normalised by the universe size.
 
-        ``mode="streaming"`` is the event-driven dispatch loop: one slice
-        per free worker slot, and each completion is immediately folded
-        into the union, reported to ``scheduler.on_slice_complete``,
-        checkpointed, and replaced by the next
-        ``scheduler.next_campaign`` dispatch — worker slots never idle at
-        a barrier.  The determinism contract: every campaign's *own*
-        trajectory stays deterministic (slices carry their state, and a
-        campaign never has two slices in flight), so with per-arm budgets
-        as the only stop condition the final per-campaign results — and
-        hence the fleet union — are bit-identical to round mode.  Only the
-        *interleaving* (scheduler observation order, and therefore the
-        allocation under shared ``total_tests`` / ``target_percent`` caps
-        on a real pool) varies run-to-run.  In-process streaming
+        ``mode="streaming"`` folds and checkpoints each completion at once
+        and hands the freed slot to the next ``scheduler.next_campaign``
+        pick, so worker slots never idle at a barrier.  ``mode="rounds"``
+        (the default) is the same loop with a barrier: the scheduler makes
+        a round's picks (up to ``concurrent_slices`` distinct arms) back
+        to back, and once the last of them finishes the round is folded
+        and checkpointed once, in pick order.  Rounds are deterministic
+        for a given configuration regardless of worker timing, at the
+        cost of every round waiting for its slowest slice.
+
+        The determinism contract: every campaign's *own* trajectory stays
+        deterministic (slices carry their state, and a campaign never has
+        two slices in flight), so with per-arm budgets as the only stop
+        condition the final per-campaign results — and hence the fleet
+        union — are bit-identical across modes.  Only the *interleaving*
+        (scheduler observation order, and therefore the allocation under
+        shared ``total_tests`` / ``target_percent`` caps on a real pool)
+        varies run-to-run in streaming mode.  In-process streaming
         (``n_workers=0``) has one slot and is fully deterministic — the
         reference for the kill/resume equality tests.
 
@@ -1464,23 +1370,58 @@ class FleetRunner:
         An arm that exhausts its retries is quarantined (see the class
         docstring): it leaves the scheduler's eligible set, its partial
         state stays in the aggregate, and the remaining arms keep running
-        to their budgets.
+        to their budgets.  ``slice_tests`` and ``concurrent_slices`` must
+        be at least 1.
         """
         if mode not in ("rounds", "streaming"):
             raise ValueError(
                 f"mode must be 'rounds' or 'streaming', got {mode!r}"
             )
+        if slice_tests < 1:
+            raise ValueError(f"slice_tests must be >= 1, got {slice_tests}")
+        if concurrent_slices is not None and concurrent_slices < 1:
+            raise ValueError(
+                f"concurrent_slices must be >= 1, got {concurrent_slices}"
+            )
+        return self._run(scheduler if scheduler is not None else RoundRobin(),
+                         mode, slice_tests, total_tests, target_percent,
+                         concurrent_slices)
+
+    def _run(self, scheduler: BudgetScheduler, mode: str,
+             slice_tests: int | None = None,
+             total_tests: int | None = None,
+             target_percent: float | None = None,
+             concurrency: int | None = None) -> FleetResult:
+        """Resume, dispatch and aggregate one entry-point call.
+
+        ``slice_tests=None`` (whole-budget) gives each pick the arm's
+        whole remaining budget.  Whole-budget runs neither load nor save
+        scheduler state, which keeps their manifests at
+        ``"scheduler": null``.
+        """
         if self._closed:
             raise RuntimeError("FleetRunner is closed")
-        scheduler = scheduler if scheduler is not None else RoundRobin()
+        persisted = None if mode == "whole-budget" else scheduler
         scheduler.bind(len(self.specs))
         if self.sink.enabled:
             scheduler.attach_sink(self.sink)
         started = time.perf_counter()
-        states, rounds, health = self._load_states(scheduler)
+        states, rounds, health = self._load_states(persisted)
         quarantined = health.quarantined_arms()
-        concurrency = (concurrent_slices if concurrent_slices is not None
-                       else max(1, self.n_workers))
+
+        def tests(arm: int) -> int:
+            return self._state_tests(states.get(arm))
+
+        def open_arms() -> list[int]:
+            """Arms still under budget and not quarantined."""
+            return [index for index, spec in enumerate(self.specs)
+                    if index not in quarantined
+                    and tests(index) < spec.budget_tests]
+
+        if mode == "whole-budget":
+            concurrency = len(open_arms())
+        elif concurrency is None:
+            concurrency = max(1, self.n_workers)
         stats = self._begin_stats(mode, concurrency, health)
         union_bits = 0
         universe = 0
@@ -1488,9 +1429,13 @@ class FleetRunner:
             coverage: Bitset = state["loop"]["coverage"]
             union_bits |= coverage.to_int()
             universe = max(universe, coverage.nbits)
-        spent = sum(self._state_tests(s) for s in states.values())
-        box = {"union_bits": union_bits, "universe": universe,
-               "spent": spent, "rounds": rounds}
+        spent = sum(tests(index) for index in states)
+        # Tests promised to picked, not yet folded slices, so the shared
+        # total_tests cap holds at dispatch time; ``picked`` keeps an arm
+        # from having two slices out at once.
+        reserved = 0
+        picked: set[int] = set()
+        ordinals: dict[int, int] = {}
         if self.sink.enabled:
             self.sink.emit(
                 "fleet_started", mode=mode, n_workers=self.n_workers,
@@ -1498,51 +1443,71 @@ class FleetRunner:
                 scheduler=type(scheduler).__name__, resumed_tests=spent,
             )
 
-        def on_quarantine(task: _SliceTask) -> None:
-            quarantined.add(task.arm)
-            scheduler.on_arm_quarantined(task.arm)
-            self._save_round(states, scheduler, box["rounds"], dirty=[],
+        def pick() -> _SliceTask | None:
+            """The scheduler's next slice, or None once a stop condition
+            holds."""
+            nonlocal reserved
+            if (target_percent is not None and universe > 0
+                    and 100.0 * union_bits.bit_count() / universe
+                    >= target_percent):
+                return None
+            if total_tests is not None and spent + reserved >= total_tests:
+                return None
+            eligible = [index for index in open_arms() if index not in picked]
+            if not eligible:
+                return None
+            arm = scheduler.next_campaign(eligible)
+            n_tests = self.specs[arm].budget_tests - tests(arm)
+            if slice_tests is not None:
+                n_tests = min(n_tests, slice_tests)
+            if total_tests is not None:
+                n_tests = min(n_tests, total_tests - spent - reserved)
+            picked.add(arm)
+            reserved += n_tests
+            ordinal = ordinals.get(arm, 0)
+            ordinals[arm] = ordinal + 1
+            return _SliceTask(arm, n_tests, states.get(arm), ordinal=ordinal)
+
+        def release(task: _SliceTask) -> None:
+            nonlocal reserved
+            picked.discard(task.arm)
+            reserved -= task.n_tests
+
+        def fold(completed: list[tuple[_SliceTask, tuple]]) -> None:
+            """Fold finished slices in order (union, reward, scheduler,
+            stats), then checkpoint them together."""
+            nonlocal spent, union_bits, universe, rounds
+            for task, output in completed:
+                release(task)
+                state, result, busy, _events = output
+                ran = result.tests_run - tests(task.arm)
+                self._emit_completion(task.arm, output, ran)
+                spent += ran
+                states[task.arm] = state
+                bits = result.final_coverage.to_int()
+                gained = (bits & ~union_bits).bit_count()
+                union_bits |= bits
+                universe = max(universe, result.final_coverage.nbits)
+                scheduler.on_slice_complete(
+                    task.arm, ran, gained / universe if universe else 0.0
+                )
+                stats.busy_seconds += busy
+                stats.slices += 1
+                stats.tests += ran
+            rounds += 1
+            self._save_round(states, persisted, rounds,
+                             dirty=[task.arm for task, _ in completed],
                              health=health)
 
-        def target_reached() -> bool:
-            return (target_percent is not None and box["universe"] > 0
-                    and 100.0 * box["union_bits"].bit_count()
-                    / box["universe"] >= target_percent)
+        def on_quarantine(task: _SliceTask) -> None:
+            release(task)
+            quarantined.add(task.arm)
+            scheduler.on_arm_quarantined(task.arm)
+            self._save_round(states, persisted, rounds, dirty=[],
+                             health=health)
 
-        def fold_completion(arm: int, output, event_driven: bool) -> None:
-            """Fold one finished slice: union, reward, scheduler, stats,
-            checkpoint.  Shared verbatim by both modes so their per-slice
-            bookkeeping cannot drift apart."""
-            state, result, busy, _events = output
-            ran = result.tests_run - self._state_tests(states.get(arm))
-            self._emit_completion(arm, output, ran)
-            box["spent"] += ran
-            states[arm] = state
-            bits = result.final_coverage.to_int()
-            gained = (bits & ~box["union_bits"]).bit_count()
-            box["union_bits"] |= bits
-            box["universe"] = max(box["universe"],
-                                  result.final_coverage.nbits)
-            reward = gained / box["universe"] if box["universe"] else 0.0
-            scheduler.on_slice_complete(arm, ran, reward)
-            stats.busy_seconds += busy
-            stats.slices += 1
-            stats.tests += ran
-            if event_driven:
-                box["rounds"] += 1
-                self._save_round(states, scheduler, box["rounds"],
-                                 dirty=[arm], health=health)
-
-        if mode == "streaming":
-            self._run_streaming(scheduler, slice_tests, total_tests,
-                                concurrency, states, box, target_reached,
-                                fold_completion, health, quarantined,
-                                on_quarantine)
-        else:
-            self._run_rounds(scheduler, slice_tests, total_tests,
-                             concurrency, states, box, target_reached,
-                             fold_completion, health, quarantined,
-                             on_quarantine)
+        self._dispatch(pick, fold, concurrency if mode == "rounds" else None,
+                       health, on_quarantine)
         stats.wall_seconds = time.perf_counter() - started
         fleet_result = FleetResult([
             self._result_from_state(spec.name, states[index])
@@ -1559,150 +1524,68 @@ class FleetRunner:
             )
         return fleet_result
 
-    def _run_rounds(self, scheduler, slice_tests, total_tests, concurrency,
-                    states, box, target_reached, fold_completion, health,
-                    quarantined, on_quarantine) -> None:
-        """The barrier-synchronised scheduling loop (pre-streaming
-        behaviour, bit for bit on the fault-free path: same picks, same
-        update order, same round-granular checkpoints).  A quarantined
-        pick simply contributes no output to its round — the budget it
-        reserved was never spent and frees up for the next round's picks.
+    def _dispatch(self, pick, fold, round_size: int | None,
+                  health: FleetHealth, on_quarantine) -> None:
+        """The one dispatch loop behind every entry point.
+
+        Keeps at most ``worker_slots`` slices in flight; in-process that
+        is one slice, run to completion when it starts.  ``pick()``
+        supplies the next slice (None once a stop condition holds) and
+        ``fold`` takes ``(task, output)`` completions.  Without
+        ``round_size`` each completion is folded at once and its slot
+        goes to the next pick.  With it the loop adds a barrier: up to
+        ``round_size`` picks are made back to back, run through the
+        slots, and folded together, in pick order, once the last one
+        finishes.  A quarantined pick is simply absent from its round,
+        and the budget it reserved frees up for the next one.  Retries
+        happen inside (:meth:`_run_task_local`, :meth:`_pump`) and keep
+        their arm's slot.
         """
-        ordinals: dict[int, int] = {}
-        while True:
-            if target_reached():
-                break
-            if total_tests is not None and box["spent"] >= total_tests:
-                break
-            available = {
-                index for index, spec in enumerate(self.specs)
-                if index not in quarantined
-                and self._state_tests(states.get(index)) < spec.budget_tests
-            }
-            if not available:
-                break
-            picks: list[tuple[int, int]] = []
-            budget_left = (None if total_tests is None
-                           else total_tests - box["spent"])
-            while available and len(picks) < concurrency:
-                if budget_left is not None and budget_left <= 0:
-                    break
-                arm = scheduler.next_campaign(sorted(available))
-                available.discard(arm)
-                spec = self.specs[arm]
-                n_tests = min(
-                    slice_tests,
-                    spec.budget_tests - self._state_tests(states.get(arm)),
-                )
-                if budget_left is not None:
-                    n_tests = min(n_tests, budget_left)
-                    budget_left -= n_tests
-                picks.append((arm, n_tests))
-            if not picks:
-                break
-            tasks = []
-            for arm, n_tests in picks:
-                ordinal = ordinals.get(arm, 0)
-                ordinals[arm] = ordinal + 1
-                tasks.append(_SliceTask(arm, n_tests, states.get(arm),
-                                        ordinal=ordinal))
-            outputs = self._execute_barrier(tasks, health, on_quarantine)
-            for arm, _ in picks:
-                if arm in outputs:
-                    fold_completion(arm, outputs[arm], event_driven=False)
-            box["rounds"] += 1
-            self._save_round(states, scheduler, box["rounds"],
-                             dirty=[arm for arm, _ in picks
-                                    if arm in outputs],
-                             health=health)
-
-    def _run_streaming(self, scheduler, slice_tests, total_tests,
-                       concurrency, states, box, target_reached,
-                       fold_completion, health, quarantined,
-                       on_quarantine) -> None:
-        """The futures-based dispatch loop (see :meth:`run_scheduled`).
-
-        ``reserved`` counts tests promised to in-flight slices so the
-        shared ``total_tests`` cap is respected at dispatch time; an arm
-        never has two slices in flight (its state travels with the slice),
-        which is what keeps per-campaign trajectories deterministic.  A
-        retried slice keeps its arm in flight (the requeue happens inside
-        :meth:`_pump`); only completion or quarantine releases the slot.
-        """
-        inflight_arms: set[int] = set()
-        reserved = 0
-        ordinals: dict[int, int] = {}
-
-        def next_task() -> _SliceTask | None:
-            if target_reached():
-                return None
-            if (total_tests is not None
-                    and box["spent"] + reserved >= total_tests):
-                return None
-            eligible = [
-                index for index, spec in enumerate(self.specs)
-                if index not in inflight_arms
-                and index not in quarantined
-                and self._state_tests(states.get(index)) < spec.budget_tests
-            ]
-            if not eligible:
-                return None
-            arm = scheduler.next_campaign(eligible)
-            n_tests = min(
-                slice_tests,
-                self.specs[arm].budget_tests
-                - self._state_tests(states.get(arm)),
-            )
-            if total_tests is not None:
-                n_tests = min(n_tests,
-                              total_tests - box["spent"] - reserved)
-            if n_tests <= 0:
-                return None
-            ordinal = ordinals.get(arm, 0)
-            ordinals[arm] = ordinal + 1
-            return _SliceTask(arm, n_tests, states.get(arm), ordinal=ordinal)
-
-        if self.n_workers == 0:
-            # One slot: dispatch -> complete -> fold, immediately.  Fully
-            # deterministic — the streaming mode's reference trajectory.
-            while True:
-                task = next_task()
-                if task is None:
-                    break
-                finished = self._run_task_local(task, health, on_quarantine)
-                if finished is None:
-                    continue  # arm quarantined; keep scheduling the rest
-                fold_completion(task.arm, finished[1], event_driven=True)
-            return
-
-        def release_and_quarantine(task: _SliceTask) -> None:
-            # The quarantined arm leaves flight: free its slot and its
-            # budget reservation before the shared bookkeeping runs.
-            nonlocal reserved
-            inflight_arms.discard(task.arm)
-            reserved -= task.n_tests
-            on_quarantine(task)
-
+        slots = self.last_stats.worker_slots
         inflight: dict[Future, _SliceTask] = {}
+        done: list[tuple[_SliceTask, tuple]] = []
+        picks: list[_SliceTask] = []  # the round's picks, in pick order
+        queue: list[_SliceTask] = []  # the round's picks not yet started
+        outputs: dict[int, tuple] = {}
         try:
             while True:
-                while len(inflight) < concurrency:
-                    task = next_task()
+                if round_size is not None and not queue and not inflight:
+                    if picks:
+                        fold([(task, outputs[task.arm]) for task in picks
+                              if task.arm in outputs])
+                    picks, outputs = [], {}
+                    while len(picks) < round_size:
+                        task = pick()
+                        if task is None:
+                            break
+                        picks.append(task)
+                    if not picks:
+                        return
+                    queue = list(picks)
+                while len(inflight) + len(done) < slots:
+                    if round_size is None:
+                        task = pick()
+                    else:
+                        task = queue.pop(0) if queue else None
                     if task is None:
                         break
-                    inflight_arms.add(task.arm)
-                    reserved += task.n_tests
-                    self._submit_task(inflight, task, health)
-                if not inflight:
-                    break
-                # Stable fold order among simultaneous completions (the
-                # arrival *timing* still varies run-to-run — that is the
-                # documented interleaving nondeterminism).
-                for task, output in self._pump(inflight, health,
-                                               release_and_quarantine):
-                    inflight_arms.discard(task.arm)
-                    reserved -= task.n_tests
-                    fold_completion(task.arm, output, event_driven=True)
+                    if self.n_workers == 0:
+                        finished = self._run_task_local(task, health,
+                                                        on_quarantine)
+                        if finished is not None:
+                            done.append(finished)
+                    else:
+                        self._submit_task(inflight, task, health)
+                if inflight:
+                    done += self._pump(inflight, health, on_quarantine)
+                elif not done and round_size is None:
+                    return
+                for task, output in done:
+                    if round_size is None:
+                        fold([(task, output)])
+                    else:
+                        outputs[task.arm] = output
+                done = []
         except BaseException:
             for future in inflight:
                 future.cancel()

@@ -35,9 +35,9 @@ Design notes
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.fuzzing.executor import DifferentialResult, HarnessExecutor
 
@@ -83,26 +83,6 @@ class PoolStats:
     rebuilds: int = 0
 
 
-@dataclass
-class SubmittedBatch:
-    """Handle for a batch whose chunks are in flight on the pool.
-
-    Single-use: :meth:`ShardedExecutor.collect` consumes it.  Multiple
-    handles may be outstanding at once (the pool queues excess chunks),
-    which is what the pipelined fuzz loop relies on.  The handle keeps
-    the chunk bodies and the pool *generation* it was submitted to, so
-    ``collect`` can resubmit the whole batch on a rebuilt pool after
-    ``BrokenProcessPool`` — and knows whether the breakage it sees is
-    from the current pool or one another handle already replaced.
-    """
-
-    futures: list[Future] = field(default_factory=list)
-    n_bodies: int = 0
-    collected: bool = False
-    chunks: list = field(default_factory=list)
-    generation: int = 0
-
-
 class ShardedExecutor(HarnessExecutor):
     """Process-pool harness executor (see module docstring).
 
@@ -145,7 +125,6 @@ class ShardedExecutor(HarnessExecutor):
         self.max_retries = max_retries
         self.stats = PoolStats()
         self._pool: ProcessPoolExecutor | None = None
-        self._generation = 0
         self._total_arms: int | None = None
         self._closed = False
 
@@ -175,7 +154,6 @@ class ShardedExecutor(HarnessExecutor):
         """Drop the current pool (dead or alive) without propagating its
         shutdown errors; the next ``_ensure_pool`` spawns a fresh one."""
         pool, self._pool = self._pool, None
-        self._generation += 1
         if pool is not None:
             try:
                 pool.shutdown(wait=False, cancel_futures=True)
@@ -223,78 +201,40 @@ class ShardedExecutor(HarnessExecutor):
             size = max(size, self._lane_width())
         return [bodies[i:i + size] for i in range(0, len(bodies), size)]
 
-    def submit_batch(self, bodies: list[list[int]]) -> SubmittedBatch:
-        """Dispatch a batch's chunks to the pool immediately (no waiting).
-
-        Unlike the base executor's deferred handle, the chunks start
-        simulating right away, so the caller can do CPU work (generate the
-        next batch) while the workers run this one.
-        """
+    def run_batch(self, bodies: list[list[int]]) -> list[DifferentialResult]:
         if not bodies:
-            return SubmittedBatch()
-        pool = self._ensure_pool()
+            return []
         chunks = self._chunks(bodies)
-        return SubmittedBatch(
-            futures=[pool.submit(_run_chunk, chunk) for chunk in chunks],
-            n_bodies=len(bodies),
-            chunks=chunks,
-            generation=self._generation,
-        )
-
-    def collect(self, handle) -> list[DifferentialResult]:
-        if not isinstance(handle, SubmittedBatch):
-            return super().collect(handle)
-        if handle.collected:
-            raise RuntimeError("batch handle was already collected")
-        handle.collected = True
-        if self._closed:
-            # close() cancelled queued chunks; collecting now would either
-            # raise CancelledError or block on a dead pool.
-            raise RuntimeError("ShardedExecutor is closed")
-        results: list[DifferentialResult] = []
         rebuilds = 0
         while True:
+            pool = self._ensure_pool()
+            futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
             try:
                 # Gather in submission order: chunks are contiguous slices,
                 # so concatenating their results reconstructs the batch order
                 # even though the chunks *executed* concurrently.
-                for future in handle.futures:
+                results: list[DifferentialResult] = []
+                for future in futures:
                     results.extend(future.result())
                 break
             except BrokenProcessPool:
                 # Worker death.  Self-heal: discard the dead pool, spawn a
                 # fresh one, resubmit this batch's chunks whole (a batch
                 # mutates nothing until folded, so resubmission is
-                # idempotent).  The generation check keeps a second
-                # outstanding handle from discarding a pool another collect
-                # already replaced.
+                # idempotent).
                 if rebuilds >= self.max_retries:
                     raise
                 rebuilds += 1
-                if handle.generation == self._generation:
-                    self._discard_pool()
-                    self.stats.rebuilds += 1
-                    if self.sink.enabled:
-                        self.sink.emit(
-                            "pool_rebuilt", layer="executor",
-                            reason="worker death during batch collect",
-                        )
-                results.clear()
-                pool = self._ensure_pool()
-                handle.futures = [pool.submit(_run_chunk, chunk)
-                                  for chunk in handle.chunks]
-                handle.generation = self._generation
+                self._discard_pool()
+                self.stats.rebuilds += 1
+                if self.sink.enabled:
+                    self.sink.emit("pool_rebuilt", layer="executor",
+                                   reason="worker death during a batch")
             except BaseException:
-                for future in handle.futures:
+                for future in futures:
                     future.cancel()
                 raise
-        if handle.n_bodies:
-            self.stats.batches += 1
-            self.stats.tests += handle.n_bodies
-            self.stats.chunks += len(handle.futures)
+        self.stats.batches += 1
+        self.stats.tests += len(bodies)
+        self.stats.chunks += len(chunks)
         return results
-
-    def run_batch(self, bodies: list[list[int]]) -> list[DifferentialResult]:
-        if not bodies:
-            return []
-        return self.collect(self.submit_batch(bodies))

@@ -17,12 +17,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.baselines.thehuzz import TheHuzzGenerator
 from repro.fuzzing import Campaign, FuzzLoop
-from repro.fuzzing.executor import (
-    DeferredBatch,
-    DifferentialResult,
-    SerialExecutor,
-)
-from repro.fuzzing.pool import ShardedExecutor, SubmittedBatch
+from repro.fuzzing.executor import DifferentialResult, SerialExecutor
+from repro.fuzzing.pool import ShardedExecutor
 from repro.golden.trace import CommitTrace
 from repro.isa.encoder import encode
 from repro.rtl.report import CoverageReport
@@ -164,77 +160,6 @@ class TestShardedExecutor:
         for bad in (0, -2):
             with pytest.raises(ValueError):
                 ShardedExecutor(rocket_harness_factory(), n_workers=bad)
-
-
-class TestSubmitCollectSplit:
-    """The asynchronous submit_batch/collect pair that pipelined loops use.
-
-    Serial executors must *defer* (no work until collect — the synchronous
-    degenerate path); the sharded executor must dispatch immediately and
-    support several outstanding handles.
-    """
-
-    def test_serial_submit_defers_execution(self):
-        executor = SerialExecutor(rocket_harness_factory())
-        handle = executor.submit_batch(_bodies(3))
-        assert isinstance(handle, DeferredBatch)
-        assert executor._harness is None  # nothing ran at submit time
-        results = executor.collect(handle)
-        assert results == SerialExecutor(
-            rocket_harness_factory()).run_batch(_bodies(3))
-
-    def test_handles_are_single_use(self):
-        executor = SerialExecutor(rocket_harness_factory())
-        handle = executor.submit_batch(_bodies(1))
-        executor.collect(handle)
-        with pytest.raises(RuntimeError, match="already collected"):
-            executor.collect(handle)
-
-    def test_foreign_handle_rejected(self):
-        executor = SerialExecutor(rocket_harness_factory())
-        with pytest.raises(TypeError, match="submit_batch"):
-            executor.collect(object())
-
-    def test_sharded_outstanding_handles_collect_in_any_order(self):
-        first_bodies, second_bodies = _bodies(5), _bodies(5, start=100)
-        serial = SerialExecutor(rocket_harness_factory())
-        expected_first = serial.run_batch(first_bodies)
-        expected_second = serial.run_batch(second_bodies)
-        with ShardedExecutor(rocket_harness_factory(), n_workers=2) as executor:
-            first = executor.submit_batch(first_bodies)
-            second = executor.submit_batch(second_bodies)
-            assert isinstance(first, SubmittedBatch)
-            # Collect out of submission order: handles are independent.
-            assert executor.collect(second) == expected_second
-            assert executor.collect(first) == expected_first
-            assert executor.stats.batches == 2
-            assert executor.stats.tests == 10
-
-    def test_sharded_run_batch_equals_submit_collect(self):
-        bodies = _bodies(7)
-        with ShardedExecutor(rocket_harness_factory(), n_workers=2) as executor:
-            via_split = executor.collect(executor.submit_batch(bodies))
-            via_run = executor.run_batch(bodies)
-        assert via_split == via_run
-
-    def test_sharded_double_collect_rejected(self):
-        with ShardedExecutor(rocket_harness_factory(), n_workers=2) as executor:
-            handle = executor.submit_batch(_bodies(2))
-            executor.collect(handle)
-            with pytest.raises(RuntimeError, match="already collected"):
-                executor.collect(handle)
-
-    def test_empty_submit_collects_to_empty(self):
-        with ShardedExecutor(rocket_harness_factory(), n_workers=2) as executor:
-            assert executor.collect(executor.submit_batch([])) == []
-            assert executor.stats.batches == 0
-
-    def test_collect_after_close_raises_not_hangs(self):
-        executor = ShardedExecutor(rocket_harness_factory(), n_workers=2)
-        handle = executor.submit_batch(_bodies(4))
-        executor.close()  # cancels/drains in-flight chunks, reaps workers
-        with pytest.raises(RuntimeError, match="closed"):
-            executor.collect(handle)
 
 
 @fork_only

@@ -14,6 +14,7 @@ The load-bearing guarantees (ISSUE acceptance):
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
 
@@ -24,6 +25,12 @@ from repro.coverage.reference import SetCoverageReport, SetCumulativeCoverage
 from repro.fuzzing import Campaign, FuzzLoop
 from repro.fuzzing.campaign import CampaignResult, CurvePoint
 from repro.fuzzing.executor import SerialExecutor
+from repro.fuzzing.faults import (
+    FaultPlan,
+    FaultPoint,
+    FaultyHarnessFactory,
+    reset_build_counts,
+)
 from repro.fuzzing.fleet import (
     CampaignSpec,
     FleetRunner,
@@ -31,8 +38,13 @@ from repro.fuzzing.fleet import (
     register_generator,
 )
 from repro.fuzzing.scheduler import BanditScheduler, RoundRobin
+from repro.obs.events import ListSink
 from repro.rtl.bitset import Bitset
-from repro.soc.harness import make_rocket_harness, rocket_harness_factory
+from repro.soc.harness import (
+    harness_factory,
+    make_rocket_harness,
+    rocket_harness_factory,
+)
 
 
 def spec_pair(budget: int = 24) -> list[CampaignSpec]:
@@ -102,6 +114,13 @@ class TestCampaignSpec:
         a.pool.append([1])  # mutating one build must not leak to the next
         assert spec.build_generator().pool == []
 
+    @pytest.mark.parametrize("batch_size", [0, -8])
+    def test_batch_size_must_be_positive(self, batch_size):
+        """An empty batch never advances ``tests_run``, so a slice would
+        spin forever inside a worker; the spec refuses it up front."""
+        with pytest.raises(ValueError, match="batch_size"):
+            CampaignSpec("x", batch_size=batch_size)
+
     def test_fingerprint_stable_and_discriminating(self):
         one, two = spec_pair()
         assert one.fingerprint() == spec_pair()[0].fingerprint()
@@ -127,6 +146,12 @@ class TestRunSlice:
         result = sliced.run_slice(8)
         whole = Campaign(self._loop(), "c").run_tests(16)
         assert result == whole
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_loop_batch_size_must_be_positive(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            FuzzLoop(TheHuzzGenerator(body_instructions=16, seed=5),
+                     rocket_harness_factory(), batch_size=batch_size)
 
     def test_result_property_tracks_accumulation(self):
         campaign = Campaign(self._loop(), "c")
@@ -541,12 +566,82 @@ class TestFleetRunnerValidation:
         with pytest.raises(ValueError, match="n_workers"):
             FleetRunner(spec_pair(), n_workers=-1)
 
+    @pytest.mark.parametrize("mode", ["rounds", "streaming"])
+    @pytest.mark.parametrize("kwargs", [
+        {"slice_tests": 0}, {"slice_tests": -8}, {"concurrent_slices": 0},
+    ], ids=["slice_tests=0", "slice_tests=-8", "concurrent_slices=0"])
+    def test_degenerate_slicing_rejected(self, mode, kwargs):
+        """Zero-test slices never advance an arm (rounds used to fold them
+        forever), and zero slots dispatch nothing: both are errors."""
+        with FleetRunner(spec_pair(), n_workers=0) as fleet:
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                fleet.run_scheduled(mode=mode, **kwargs)
+
     def test_closed_runner_refuses_work(self):
         runner = FleetRunner(spec_pair(), n_workers=0)
         runner.close()
         runner.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
             runner.run()
+
+
+class TestSliceSlots:
+    """A pooled fleet keeps at most ``worker_slots`` slices in flight, so
+    no slice waits in the pool's queue and ``slice_timeout`` only runs
+    while a slice holds a worker."""
+
+    @staticmethod
+    def _arms(n: int, budget: int = 8) -> list[CampaignSpec]:
+        return [CampaignSpec(f"random-{seed}", fuzzer="random",
+                             fuzzer_config={"body_instructions": 8},
+                             seed=seed, batch_size=8, budget_tests=budget)
+                for seed in range(n)]
+
+    @staticmethod
+    def _peak_in_flight(sink: ListSink) -> int:
+        """Most arms dispatched and not yet completed at any one time."""
+        in_flight: set[int] = set()
+        peak = 0
+        for event in sink.events:
+            if event.kind == "slice_dispatched":
+                in_flight.add(event.data["arm"])
+            elif event.kind == "slice_completed":
+                in_flight.discard(event.data["arm"])
+            peak = max(peak, len(in_flight))
+        return peak
+
+    def test_whole_budget_run_holds_one_slice_per_worker(self):
+        sink = ListSink()
+        with FleetRunner(self._arms(4), n_workers=1, sink=sink) as fleet:
+            result = fleet.run()
+        assert fleet.last_stats.worker_slots == 1
+        assert self._peak_in_flight(sink) == 1
+        assert [c.tests_run for c in result.campaigns] == [8] * 4
+
+    def test_streaming_holds_one_slice_per_worker(self):
+        sink = ListSink()
+        with FleetRunner(self._arms(4, budget=16), n_workers=1,
+                         sink=sink) as fleet:
+            result = fleet.run_scheduled(RoundRobin(), slice_tests=8,
+                                         concurrent_slices=4,
+                                         mode="streaming")
+        assert fleet.last_stats.worker_slots == 1
+        assert self._peak_in_flight(sink) == 1
+        assert [c.tests_run for c in result.campaigns] == [16] * 4
+
+    def test_queued_round_pick_is_not_charged_a_timeout(self):
+        """Both picks of a round stall for 1.5 s under a 2.4 s limit on one
+        worker.  Each fits the limit on its own, but a second pick whose
+        clock started while it waited behind the first would pass it."""
+        plan = FaultPlan([FaultPoint(arm, 0, kind="hang", hang_seconds=1.5)
+                          for arm in (0, 1)])
+        with FleetRunner(self._arms(2), n_workers=1, slice_timeout=2.4,
+                         retry_backoff=0.0, fault_plan=plan) as fleet:
+            result = fleet.run_scheduled(RoundRobin(), slice_tests=8,
+                                         concurrent_slices=2)
+        assert result.health.timeouts == 0
+        assert result.health.healthy
+        assert [c.tests_run for c in result.campaigns] == [8, 8]
 
 
 class TestFleetResultAggregation:
@@ -614,3 +709,125 @@ class TestFleetResultAggregation:
         summary = result.summary()
         assert "alpha" in summary and "beta" in summary
         assert "2 campaigns" in summary
+
+
+#: Event payload fields that carry host timings; dispatch pins skip them.
+TIMING_FIELDS = frozenset({"seconds", "busy_seconds", "wall_seconds",
+                           "limit_seconds"})
+
+
+def _recording(base):
+    """``base`` scheduler subclass that logs every call the fleet makes."""
+
+    class Recording(base):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            self.calls = []
+
+        def next_campaign(self, eligible):
+            arm = super().next_campaign(eligible)
+            self.calls.append(("next_campaign", list(eligible), arm))
+            return arm
+
+        def on_slice_complete(self, arm, tests, reward):
+            self.calls.append(("on_slice_complete", arm, tests, reward))
+            super().on_slice_complete(arm, tests, reward)
+
+        def on_arm_quarantined(self, arm):
+            self.calls.append(("on_arm_quarantined", arm))
+            super().on_arm_quarantined(arm)
+
+    Recording.__name__ = Recording.__qualname__ = f"Recording{base.__name__}"
+    return Recording
+
+
+class TestDispatchPin:
+    """Digest pins for the fleet's dispatch: ``run()``, and rounds and
+    streaming under round-robin and UCB1.
+
+    Each case runs an in-process fleet of three arms: two healthy ones
+    and, between them, one whose harness never builds (quarantined after
+    its retry).  One healthy slice fails once and is retried.  Scheduled
+    cases run two slices per round and stop on a ``total_tests`` cap
+    that runs out mid-round.  A digest hashes the event stream without
+    its timing fields, every scheduler call, each arm's tests and
+    coverage bitmap, and the final checkpoint manifest without its
+    health ledger.  The expected digests were recorded on the runner as
+    it stood before ``run()``, rounds and streaming shared one dispatch
+    loop.  ``run()``'s ``fleet_started`` event now also names its
+    round-robin scheduler, so that field is left out of its digest.
+    """
+
+    EXPECTED = {
+        "run": "cc3375d99fa27068",
+        ("rounds", "RoundRobin"): "1f4da73ddf273ed5",
+        ("rounds", "BanditScheduler"): "2b6129750c9b7dbd",
+        ("streaming", "RoundRobin"): "ba062ab711dcef46",
+        ("streaming", "BanditScheduler"): "d649ac042d3ecac2",
+    }
+
+    @pytest.fixture(autouse=True)
+    def _fresh_build_counts(self):
+        reset_build_counts()
+        yield
+        reset_build_counts()
+
+    @staticmethod
+    def _specs() -> list[CampaignSpec]:
+        good = spec_pair(budget=40)
+        bad = CampaignSpec("bad", fuzzer="random",
+                           fuzzer_config={"body_instructions": 16}, seed=3,
+                           batch_size=8, budget_tests=40,
+                           harness=FaultyHarnessFactory(
+                               harness_factory("rocket"), label="pin-bad"))
+        return [good[0], bad, good[1]]
+
+    @staticmethod
+    def _digest(sink, calls, result, checkpoint_dir, drop=()) -> str:
+        h = hashlib.sha256()
+        for event in sink.events:
+            data = {key: value for key, value in event.data.items()
+                    if key not in TIMING_FIELDS
+                    and (event.kind, key) not in drop}
+            h.update(json.dumps([event.kind, data], sort_keys=True).encode())
+        h.update(repr(calls).encode())
+        h.update(repr([(c.tests_run, c.final_coverage.to_int())
+                       for c in result.campaigns]).encode())
+        manifest = json.loads((checkpoint_dir / "manifest.json").read_text())
+        manifest.pop("health")
+        h.update(json.dumps(manifest, sort_keys=True).encode())
+        return h.hexdigest()[:16]
+
+    def _runner(self, tmp_path, ordinal: int) -> tuple[FleetRunner, ListSink]:
+        sink = ListSink()
+        plan = FaultPlan([FaultPoint(2, ordinal, kind="raise")])
+        return FleetRunner(self._specs(), n_workers=0, max_retries=1,
+                           retry_backoff=0.0, fault_plan=plan,
+                           checkpoint_dir=tmp_path, sink=sink), sink
+
+    def test_run(self, tmp_path):
+        runner, sink = self._runner(tmp_path, ordinal=0)
+        with runner:
+            result = runner.run()
+        assert [q.name for q in result.health.quarantined] == ["bad"]
+        assert result.health.retries == 2
+        digest = self._digest(sink, [], result, tmp_path,
+                              drop={("fleet_started", "scheduler")})
+        assert digest == self.EXPECTED["run"]
+
+    @pytest.mark.parametrize("scheduler", [RoundRobin, BanditScheduler],
+                             ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("mode", ["rounds", "streaming"])
+    def test_scheduled(self, tmp_path, mode, scheduler):
+        runner, sink = self._runner(tmp_path, ordinal=1)
+        policy = _recording(scheduler)(
+            **({"exploration": 0.05} if scheduler is BanditScheduler else {}))
+        with runner:
+            result = runner.run_scheduled(policy, slice_tests=8,
+                                          total_tests=60,
+                                          concurrent_slices=2, mode=mode)
+        assert [q.name for q in result.health.quarantined] == ["bad"]
+        assert result.health.retries == 2
+        assert 60 <= result.total_tests < 60 + 8
+        digest = self._digest(sink, policy.calls, result, tmp_path)
+        assert digest == self.EXPECTED[mode, scheduler.__name__]
