@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.fuzzing.executor import HarnessExecutor, SerialExecutor
 from repro.fuzzing.pool import ShardedExecutor
 
 from repro.dataset.corpus import Corpus
@@ -26,7 +27,7 @@ from repro.ml.lm_training import LMTrainConfig, LMTrainer
 from repro.ml.pipeline import LLMInputGenerator, PipelineConfig, ChatFuzzPipeline
 from repro.ml.tokenizer import HalfwordTokenizer
 from repro.ml.transformer import GPT2Config, GPT2LMModel
-from repro.soc.harness import make_rocket_harness
+from repro.soc.harness import make_harness
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CACHE_DIR = REPO_ROOT / ".bench_cache"
@@ -126,18 +127,17 @@ def write_bench_json(filename: str, record: dict,
 BENCH_WORKERS = int(os.environ.get("CHATFUZZ_BENCH_WORKERS", "0"))
 
 
-def bench_executor() -> ShardedExecutor | None:
+def bench_executor(factory) -> HarnessExecutor:
     """Executor for campaign benches per ``CHATFUZZ_BENCH_WORKERS``.
 
-    Returns None (FuzzLoop then defaults to serial in-process execution) or
-    an unbound ShardedExecutor that the loop binds to its harness factory.
-    Sharded results are order-identical to serial (see
+    A serial in-process executor by default, else a ShardedExecutor over
+    ``factory``.  Sharded results are order-identical to serial (see
     ``repro.fuzzing.executor``), so the knob changes wall-clock only, never
     the curves.
     """
     if BENCH_WORKERS <= 1:
-        return None
-    return ShardedExecutor(n_workers=BENCH_WORKERS)
+        return SerialExecutor(factory)
+    return ShardedExecutor(factory, n_workers=BENCH_WORKERS)
 
 
 BENCH_PIPELINE_CONFIG = PipelineConfig(
@@ -184,7 +184,7 @@ def _train_and_cache() -> TrainedChatFuzz:
     pipeline = ChatFuzzPipeline(BENCH_PIPELINE_CONFIG)
     pipeline.run_step1()
     pipeline.run_step2()
-    pipeline.run_step3(make_rocket_harness())
+    pipeline.run_step3(make_harness("rocket"))
     pipeline.model.save(model_path)
     pipeline.tokenizer.save(tokenizer_path)
     pipeline.corpus.save(corpus_path)

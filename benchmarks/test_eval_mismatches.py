@@ -16,12 +16,12 @@ from benchmarks.conftest import emit, scaled
 from repro.analysis.report import format_table
 from repro.fuzzing.campaign import Campaign
 from repro.fuzzing.chatfuzz import FuzzLoop
-from repro.soc.harness import make_rocket_harness
+from repro.soc.harness import make_harness
 from repro.soc.rocket import RocketParams
 
 
 def _run(chatfuzz, n_tests):
-    harness = make_rocket_harness(RocketParams(timed_counter_csr=True))
+    harness = make_harness("rocket", RocketParams(timed_counter_csr=True))
     loop = FuzzLoop(chatfuzz.generator(seed=141), harness, batch_size=20)
     result = Campaign(loop, "mismatches").run_tests(n_tests)
     return result, loop.detector

@@ -12,7 +12,7 @@ from repro.analysis.report import format_table
 from repro.baselines.thehuzz import TheHuzzGenerator
 from repro.fuzzing.campaign import Campaign
 from repro.fuzzing.chatfuzz import FuzzLoop
-from repro.soc.harness import rocket_harness_factory
+from repro.soc.harness import HarnessFactory
 
 
 def _run_campaigns(chatfuzz, n_tests):
@@ -23,8 +23,8 @@ def _run_campaigns(chatfuzz, n_tests):
     ]:
         # CHATFUZZ_BENCH_WORKERS shards simulation over a worker pool;
         # curves are identical to serial either way (executor parity).
-        loop = FuzzLoop(generator, rocket_harness_factory(), batch_size=20,
-                        executor=bench_executor())
+        loop = FuzzLoop(generator, batch_size=20,
+                        executor=bench_executor(HarnessFactory("rocket")))
         with Campaign(loop, name) as campaign:
             results[name] = campaign.run_tests(n_tests)
     return results

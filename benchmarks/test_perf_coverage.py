@@ -112,7 +112,7 @@ def _run_set_engine(streams):
     """Original data path: per-arm record, frozenset snapshot, set scoring."""
     word_outcomes, irq_group, hazard_handles, tests = streams
     cov = _declare(SetConditionCoverage())
-    calc = SetCoverageCalculator(cov.total_arms, batch_mode=True)
+    calc = SetCoverageCalculator(cov.total_arms)
     scorer = CoverageScorer()
     reports = []
     for body in tests:
@@ -135,11 +135,11 @@ def _run_set_engine(streams):
 
 def _run_bitset_engine(streams):
     """Bitset data path: memoized group masks, pair-folded hazard group,
-    packed snapshot, vectorised batch scoring — exactly what the migrated
-    cores and FuzzLoop do."""
+    packed snapshot, AND-NOT/popcount batch scoring — exactly what the
+    migrated cores and FuzzLoop do."""
     word_outcomes, irq_group, hazard_handles, tests = streams
     cov = _declare(ConditionCoverage())
-    calc = CoverageCalculator(cov.total_arms, batch_mode=True)
+    calc = CoverageCalculator(cov.total_arms)
     scorer = CoverageScorer()
     # Group masks are memoized per key, as the cores memoize decode masks
     # per instruction word and the IRQ poll precomputes its idle mask; the
@@ -177,7 +177,7 @@ def _run_bitset_engine(streams):
 
 
 def _tests_per_sec(fn, streams) -> float:
-    fn(streams)  # warm-up (mask memoization, numpy import paths)
+    fn(streams)  # warm-up (mask memoization)
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
@@ -220,7 +220,7 @@ def test_coverage_engine_tests_per_sec():
             "identical observation streams through both engines; set engine "
             "= retained reference (per-arm set.add, frozenset reports, set "
             "calculator); bitset engine = memoized/pair-folded group masks "
-            "+ packed reports + vectorised batch calculator, mirroring the "
+            "+ packed reports + bitmap batch calculator, mirroring the "
             "migrated cores; outputs asserted identical before timing; "
             f"best of {REPEATS} timed runs"
         ),

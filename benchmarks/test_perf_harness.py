@@ -34,7 +34,7 @@ from repro.analysis.report import format_table
 from repro.baselines.random_regression import RandomRegressionGenerator
 from repro.fuzzing.executor import SerialExecutor
 from repro.fuzzing.pool import ShardedExecutor
-from repro.soc.harness import rocket_harness_factory
+from repro.soc.harness import HarnessFactory
 
 #: Batch size (acceptance point: >= 32) and per-test body length.
 BATCH = 64
@@ -79,8 +79,8 @@ def eligible_worker_counts(cores: int) -> list[int]:
 
 @pytest.mark.perf
 def test_harness_tests_per_sec():
-    factory = rocket_harness_factory(golden_lanes=GOLDEN_LANES,
-                                     dut_lanes=DUT_LANES)
+    factory = HarnessFactory("rocket", golden_lanes=GOLDEN_LANES,
+                             dut_lanes=DUT_LANES)
     bodies = _fixed_bodies()
     cores = os.cpu_count() or 1
     measured_counts = eligible_worker_counts(cores)

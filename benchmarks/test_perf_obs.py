@@ -31,7 +31,7 @@ from repro.fuzzing.campaign import Campaign
 from repro.fuzzing.chatfuzz import FuzzLoop
 from repro.obs.events import NULL_SINK, ListSink
 from repro.obs.store import ResultsStore
-from repro.soc.harness import rocket_harness_factory
+from repro.soc.harness import HarnessFactory
 
 BATCH_SIZE = 16
 BODY_INSTRUCTIONS = 24
@@ -47,7 +47,7 @@ REPEATS = 3
 
 def _run_campaign(sink, budget: int) -> tuple[float, object]:
     generator = TheHuzzGenerator(body_instructions=BODY_INSTRUCTIONS, seed=7)
-    loop = FuzzLoop(generator, rocket_harness_factory(),
+    loop = FuzzLoop(generator, HarnessFactory("rocket"),
                     batch_size=BATCH_SIZE, sink=sink)
     start = time.perf_counter()
     with Campaign(loop, "obs-bench") as campaign:

@@ -15,7 +15,7 @@ from repro.fuzzing.chatfuzz import FuzzLoop
 from repro.ml.lm_training import LMTrainConfig
 from repro.ml.pipeline import ChatFuzzPipeline, PipelineConfig
 from repro.ml.transformer import GPT2Config
-from repro.soc.harness import make_boom_harness, make_rocket_harness
+from repro.soc.harness import make_harness
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--golden-lanes", type=int, default=0, metavar="N",
@@ -31,10 +31,10 @@ pipeline = ChatFuzzPipeline(PipelineConfig(
     step2_steps=4, step3_steps=2, ppo_batch_size=12,
     response_instructions=20,
 ))
-pipeline.run_all(make_rocket_harness())
+pipeline.run_all(make_harness("rocket"))
 
 print("fuzzing the BOOM model...")
-harness = make_boom_harness(golden_lanes=args.golden_lanes)
+harness = make_harness("boom", golden_lanes=args.golden_lanes)
 loop = FuzzLoop(pipeline.make_generator(seed=21), harness, batch_size=20)
 result = Campaign(loop, "chatfuzz-boom").run_tests(250)
 

@@ -30,13 +30,14 @@ from repro.baselines.random_regression import RandomRegressionGenerator
 from repro.baselines.thehuzz import TheHuzzGenerator
 from repro.fuzzing.campaign import Campaign
 from repro.fuzzing.chatfuzz import FuzzLoop
+from repro.fuzzing.executor import SerialExecutor
 from repro.fuzzing.pool import ShardedExecutor
 from repro.ml.lm_training import LMTrainConfig
 from repro.obs.events import NULL_SINK
 from repro.obs.store import ResultsStore
 from repro.ml.pipeline import ChatFuzzPipeline, PipelineConfig
 from repro.ml.transformer import GPT2Config
-from repro.soc.harness import make_rocket_harness, rocket_harness_factory
+from repro.soc.harness import HarnessFactory, make_harness
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--workers", type=int, default=0, metavar="N",
@@ -72,7 +73,7 @@ pipeline = ChatFuzzPipeline(PipelineConfig(
     step2_steps=5, step3_steps=3, ppo_batch_size=12,
     response_instructions=20,
 ))
-pipeline.run_all(make_rocket_harness())
+pipeline.run_all(make_harness("rocket"))
 
 mode = f"{args.workers} workers" if args.workers > 1 else "serial"
 if args.golden_lanes > 0:
@@ -86,12 +87,11 @@ for name, generator in [
     ("TheHuzz", TheHuzzGenerator(body_instructions=24, seed=1)),
     ("random", RandomRegressionGenerator(body_instructions=24, seed=2)),
 ]:
-    executor = (ShardedExecutor(n_workers=args.workers)
-                if args.workers > 1 else None)
-    factory = rocket_harness_factory(golden_lanes=args.golden_lanes,
-                                     dut_lanes=args.dut_lanes)
-    loop = FuzzLoop(generator, factory, batch_size=20,
-                    executor=executor, sink=sink)
+    factory = HarnessFactory("rocket", golden_lanes=args.golden_lanes,
+                             dut_lanes=args.dut_lanes)
+    executor = (ShardedExecutor(factory, n_workers=args.workers)
+                if args.workers > 1 else SerialExecutor(factory))
+    loop = FuzzLoop(generator, batch_size=20, executor=executor, sink=sink)
     with Campaign(loop, name) as campaign:
         results[name] = campaign.run_tests(args.tests)
     if sink.enabled:

@@ -20,9 +20,9 @@ from repro.isa.spec import DRAM_BASE
 from repro.ml.lm_training import LMTrainConfig
 from repro.ml.pipeline import ChatFuzzPipeline, PipelineConfig
 from repro.ml.transformer import GPT2Config
-from repro.soc.harness import make_rocket_harness, preamble_words
+from repro.soc.harness import make_harness, preamble_words
 
-harness = make_rocket_harness()
+harness = make_harness("rocket")
 body_base = DRAM_BASE + 4 * (len(preamble_words()) + 2)
 
 TARGETED = {
@@ -84,9 +84,9 @@ pipeline = ChatFuzzPipeline(PipelineConfig(
     step2_steps=4, step3_steps=2, ppo_batch_size=12,
     response_instructions=20,
 ))
-pipeline.run_all(make_rocket_harness())
+pipeline.run_all(make_harness("rocket"))
 
-loop = FuzzLoop(pipeline.make_generator(seed=5), make_rocket_harness(),
+loop = FuzzLoop(pipeline.make_generator(seed=5), make_harness("rocket"),
                 batch_size=20)
 result = Campaign(loop, "bughunt").run_tests(400)
 print(f"\n{result.summary()}")

@@ -13,7 +13,7 @@ Run:  python examples/quickstart.py
 from repro.fuzzing.mismatch import compare_traces
 from repro.isa import Assembler, Disassembler
 from repro.isa.spec import DRAM_BASE
-from repro.soc.harness import make_rocket_harness, preamble_words
+from repro.soc.harness import make_harness, preamble_words
 
 # ---------------------------------------------------------------------------
 # 1. Write a small test program.  The harness preamble initialises sp/s0/gp
@@ -40,7 +40,7 @@ print(Disassembler().listing(body, base=body_base))
 # 2. Run it on the RocketCore model (with the paper's bugs injected) and on
 #    the golden ISS.
 # ---------------------------------------------------------------------------
-harness = make_rocket_harness()
+harness = make_harness("rocket")
 dut_trace, golden_trace, report = harness.run_differential(body)
 
 print("\n=== DUT commit trace (first 12 retired instructions) ===")

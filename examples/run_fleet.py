@@ -70,7 +70,7 @@ from repro.obs.store import ResultsStore
 from repro.ml.lm_training import LMTrainConfig
 from repro.ml.pipeline import ChatFuzzPipeline, PipelineConfig
 from repro.ml.transformer import GPT2Config
-from repro.soc.harness import make_rocket_harness
+from repro.soc.harness import HarnessFactory, make_harness
 
 parser = argparse.ArgumentParser(
     description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -157,10 +157,10 @@ fault.add_argument("--chaos-kinds", default="raise", metavar="K[,K]",
 args = parser.parse_args()
 
 # Every arm shares the DUT kind and lane widths; a kind without a batch
-# engine rejects nonzero --dut-lanes at spec construction, before any
-# worker spins up.
-arm_kw = dict(harness=args.harness, golden_lanes=args.golden_lanes,
-              dut_lanes=args.dut_lanes)
+# engine rejects nonzero --dut-lanes here, before any worker spins up.
+arm_kw = dict(harness=HarnessFactory(args.harness,
+                                     golden_lanes=args.golden_lanes,
+                                     dut_lanes=args.dut_lanes))
 
 specs = []
 for k in range(args.seeds):
@@ -196,7 +196,7 @@ if not args.no_chatfuzz:
             step2_steps=5, step3_steps=3, ppo_batch_size=12,
             response_instructions=20,
         ))
-        pipeline.run_all(make_rocket_harness())
+        pipeline.run_all(make_harness("rocket"))
         generators = [pipeline.make_generator(seed=11 + k)
                       for k in range(args.seeds)]
         if cache is not None:

@@ -16,7 +16,7 @@ from repro.ml.lm_training import LMTrainConfig
 from repro.ml.pipeline import ChatFuzzPipeline, PipelineConfig
 from repro.ml.rewards import DisassemblerReward
 from repro.ml.transformer import GPT2Config
-from repro.soc.harness import make_rocket_harness
+from repro.soc.harness import make_harness
 
 SCALE = 1.0
 
@@ -60,7 +60,7 @@ print(f"[step2] mean reward {step2.mean_rewards[0]:+.3f} -> "
 print(f"[step2] generation validity: {validity():.1%}")
 
 # -- step 3: PPO against RTL-simulation coverage -----------------------------
-harness = make_rocket_harness()
+harness = make_harness("rocket")
 step3 = pipeline.run_step3(harness)
 print(f"[step3] coverage reward {step3.mean_rewards[0]:+.3f} -> "
       f"{step3.mean_rewards[-1]:+.3f}; campaign coverage "

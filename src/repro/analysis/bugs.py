@@ -19,6 +19,7 @@ from repro.isa.spec import (
     EXC_STORE_ACCESS_FAULT,
     EXC_STORE_MISALIGNED,
 )
+from repro.obs.store import freeze_json
 
 _MULDIV = {m for m, s in INSTRUCTIONS.items() if s.is_muldiv}
 _AMO = {m for m, s in INSTRUCTIONS.items()
@@ -108,3 +109,27 @@ def detected_bugs(mismatches) -> set[str]:
         for bug_id, items in classify_mismatches(mismatches).items()
         if bug_id != "UNEXPLAINED" and items
     }
+
+
+def classify_bug_rows(aggregates_dict: dict) -> list[dict]:
+    """Attribute a results store's unique mismatch signatures to known bugs.
+
+    The JSON form of the E-BUGS table, which the dashboard's
+    ``/api/summary`` and the text report both render: one row per unique
+    signature with the matched bug id (``UNEXPLAINED`` if none) and the
+    arms that saw it, sorted by (bug, kind).
+    """
+    rows = []
+    for entry in aggregates_dict.get("mismatches", []):
+        match = classify_mismatch(Mismatch(
+            kind=entry["kind"], index=0, pc=entry["pc"],
+            detail=entry["detail"], signature=freeze_json(entry["signature"]),
+        ))
+        rows.append({
+            "bug": match.bug_id if match else "UNEXPLAINED",
+            "kind": entry["kind"],
+            "campaigns": entry["campaigns"],
+            "detail": entry["detail"],
+        })
+    rows.sort(key=lambda row: (row["bug"], row["kind"]))
+    return rows

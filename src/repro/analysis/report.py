@@ -42,8 +42,7 @@ def store_report(aggregates) -> str:
     # Imported lazily: repro.analysis.fleet imports this module, and the
     # bug classifier pulls in the fuzzing/ISA layers this renderer
     # otherwise doesn't need.
-    from repro.analysis.bugs import classify_mismatch
-    from repro.fuzzing.mismatch import Mismatch
+    from repro.analysis.bugs import classify_bug_rows
 
     agg = aggregates.as_dict() if hasattr(aggregates, "as_dict") else aggregates
     # Wall, busy and utilisation come from fleet dispatch events; a store
@@ -100,27 +99,13 @@ def store_report(aggregates) -> str:
         title="Fleet health"))
     lines.append("")
 
-    bug_rows = []
-    for entry in agg["mismatches"]:
-        signature = _freeze(entry["signature"])
-        match = classify_mismatch(Mismatch(
-            kind=entry["kind"], index=0, pc=entry["pc"],
-            detail=entry["detail"], signature=signature,
-        ))
-        bug_rows.append([
-            match.bug_id if match else "UNEXPLAINED",
-            entry["kind"],
-            ", ".join(entry["campaigns"]),
-            entry["detail"][:48],
-        ])
-    bug_rows.sort(key=lambda row: (row[0], row[1]))
+    bug_rows = [
+        [row["bug"], row["kind"], ", ".join(row["campaigns"]),
+         row["detail"][:48]]
+        for row in classify_bug_rows(agg)
+    ]
     lines.append(format_table(
         ["bug", "kind", "campaigns", "detail"], bug_rows,
         title=f"E-BUGS ({len(bug_rows)} unique signatures)"))
     return "\n".join(lines)
 
-
-def _freeze(value):
-    if isinstance(value, list):
-        return tuple(_freeze(item) for item in value)
-    return value

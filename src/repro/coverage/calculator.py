@@ -5,34 +5,20 @@ RTL simulator and computes, for each test input:
 
 - **stand-alone coverage** — cover points attained by the input alone;
 - **incremental coverage** — newly achieved points relative to the total
-  recorded before this input (the paper computes increments against the
-  previous *batch*; both granularities are supported);
+  recorded at the end of the previous *batch*, as the paper computes them;
 - **total coverage** — the cumulative tally so far.
 
 The state is packed bitmaps end to end: incremental coverage is
-``report & ~baseline`` (one AND-NOT plus popcount), merging is a bitwise OR.
-:meth:`CoverageCalculator.observe_batch` additionally vectorises a whole
-generation batch through ``numpy`` — the reports' packed bytes are stacked
-into a ``(n_tests, words)`` uint64 matrix, incrementals come from one
-masked ``bitwise_count`` sweep and running totals from one
-``bitwise_or.accumulate`` — with results bit-for-bit identical to the
-scalar loop (pinned by ``tests/coverage/test_bitset_parity.py``).
+``report & ~baseline`` (one AND-NOT plus popcount), merging is a bitwise OR
+(parity with the set engine pinned by
+``tests/coverage/test_bitset_parity.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.rtl.report import CoverageReport, CumulativeCoverage
-
-#: numpy >= 2.0 provides a vectorised popcount; without it the batch path
-#: simply falls back to the scalar loop (same results, less speed).
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-
-#: Below this batch size the numpy staging overhead outweighs the win.
-_VECTOR_MIN_BATCH = 4
 
 
 @dataclass(frozen=True)
@@ -65,15 +51,13 @@ class InputCoverage:
 class CoverageCalculator:
     """Stateful accumulator over a fuzzing campaign.
 
-    ``batch_mode=True`` reproduces the paper exactly: incremental coverage is
-    measured against the total recorded at the end of the *previous batch*,
-    so inputs within a batch do not shadow each other.  With
-    ``batch_mode=False`` increments are against the running total.
+    Reproduces the paper exactly: incremental coverage is measured against
+    the total recorded at the last :meth:`begin_batch`, the end of the
+    *previous batch*, so inputs within a batch do not shadow each other.
     """
 
-    def __init__(self, total_arms: int, batch_mode: bool = True) -> None:
+    def __init__(self, total_arms: int) -> None:
         self.cumulative = CumulativeCoverage(total_arms=total_arms)
-        self.batch_mode = batch_mode
         #: Packed bitmap snapshot of the cumulative total at batch start.
         self._batch_baseline = 0
 
@@ -92,10 +76,7 @@ class CoverageCalculator:
     def observe(self, report: CoverageReport) -> InputCoverage:
         """Fold one test's report into the totals and score it."""
         bits = report.hits.to_int()
-        baseline = (
-            self._batch_baseline if self.batch_mode else self.cumulative.bits()
-        )
-        incremental = (bits & ~baseline).bit_count()
+        incremental = (bits & ~self._batch_baseline).bit_count()
         self.cumulative.merge_bits(bits)
         return InputCoverage(
             standalone=report.standalone_count,
@@ -105,56 +86,7 @@ class CoverageCalculator:
         )
 
     def observe_batch(self, reports: list[CoverageReport]) -> list[InputCoverage]:
-        """Score a whole generation batch (paper's granularity).
-
-        Equivalent to ``begin_batch()`` followed by per-report
-        :meth:`observe` calls, but computed in one vectorised sweep when the
-        batch is large enough.
-        """
+        """Score a whole generation batch (paper's granularity):
+        :meth:`begin_batch`, then one :meth:`observe` per report."""
         self.begin_batch()
-        if len(reports) < _VECTOR_MIN_BATCH or not _HAS_BITWISE_COUNT:
-            return [self.observe(report) for report in reports]
-        return self._observe_batch_vectorised(reports)
-
-    def _observe_batch_vectorised(self, reports) -> list[InputCoverage]:
-        n_words = max(
-            (self.total_arms + 63) // 64,
-            max((r.hits.nbits + 63) // 64 for r in reports),
-            1,
-        )
-        width = 8 * n_words
-        matrix = np.frombuffer(
-            b"".join(r.hits.to_bytes(width) for r in reports), dtype="<u8"
-        ).reshape(len(reports), n_words)
-        baseline_bits = self.cumulative.bits()
-        baseline = np.frombuffer(
-            baseline_bits.to_bytes(width, "little"), dtype="<u8"
-        )
-
-        # Newly-hit arms per input.  Batch mode measures every input against
-        # the batch baseline; running mode against baseline | OR of all
-        # earlier inputs (the accumulate, shifted down one row).
-        accumulated = np.bitwise_or.accumulate(matrix, axis=0) | baseline
-        if self.batch_mode:
-            fresh = matrix & ~baseline
-        else:
-            running = np.empty_like(accumulated)
-            running[0] = baseline
-            running[1:] = accumulated[:-1]
-            fresh = matrix & ~running
-        incrementals = np.bitwise_count(fresh).sum(axis=1)
-        totals = np.bitwise_count(accumulated).sum(axis=1)
-
-        self.cumulative.merge_bits(
-            int.from_bytes(accumulated[-1].tobytes(), "little")
-        )
-        total_arms = self.cumulative.total_arms
-        return [
-            InputCoverage(
-                standalone=report.standalone_count,
-                incremental=int(incrementals[i]),
-                total=int(totals[i]),
-                total_arms=total_arms,
-            )
-            for i, report in enumerate(reports)
-        ]
+        return [self.observe(report) for report in reports]

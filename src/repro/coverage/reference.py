@@ -98,9 +98,8 @@ class SetCumulativeCoverage:
 class SetCoverageCalculator:
     """Original calculator: per-report set differences and unions."""
 
-    def __init__(self, total_arms: int, batch_mode: bool = True) -> None:
+    def __init__(self, total_arms: int) -> None:
         self.cumulative = SetCumulativeCoverage(total_arms=total_arms)
-        self.batch_mode = batch_mode
         self._batch_baseline: set[int] = set()
 
     @property
@@ -115,8 +114,7 @@ class SetCoverageCalculator:
         self._batch_baseline = set(self.cumulative.hits)
 
     def observe(self, report) -> InputCoverage:
-        baseline = self._batch_baseline if self.batch_mode else self.cumulative.hits
-        incremental = len(set(report.hits) - baseline)
+        incremental = len(set(report.hits) - self._batch_baseline)
         self.cumulative.merge(report)
         return InputCoverage(
             standalone=report.standalone_count,

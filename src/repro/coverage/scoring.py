@@ -11,12 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.coverage.calculator import InputCoverage
-
-#: Below this batch size the numpy staging overhead outweighs the win.
-_VECTOR_MIN_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -67,30 +62,5 @@ class CoverageScorer:
         return value
 
     def score_batch(self, coverages: list[InputCoverage]) -> list[float]:
-        """Score a whole batch.
-
-        Vectorised over ``numpy`` float64 with the same operation order as
-        :meth:`score`, so results are bit-for-bit identical to the scalar
-        loop (pinned by ``tests/coverage/test_bitset_parity.py``).
-        """
-        if (
-            len(coverages) < _VECTOR_MIN_BATCH
-            or any(c.total_arms == 0 for c in coverages)
-        ):
-            return [self.score(c) for c in coverages]
-        w = self.weights
-        total_arms = np.array([c.total_arms for c in coverages], dtype=np.float64)
-        standalone = np.array([c.standalone for c in coverages], dtype=np.float64)
-        incremental = np.array([c.incremental for c in coverages], dtype=np.float64)
-        total = np.array([c.total for c in coverages], dtype=np.float64)
-
-        sa_frac = standalone / total_arms
-        value = w.standalone_weight * sa_frac
-        value = value + w.incremental_weight * (incremental / total_arms)
-        value = value + np.where(
-            incremental > 0, w.improvement_bonus, -w.stagnation_penalty
-        )
-        value = value + (
-            w.exploration_weight * (1.0 - total / total_arms) * sa_frac
-        )
-        return [float(v) for v in value]
+        """Score a whole batch, one :meth:`score` per input."""
+        return [self.score(coverage) for coverage in coverages]

@@ -85,7 +85,8 @@ class Campaign:
     relevant when the loop runs on a worker pool
     (:class:`~repro.fuzzing.pool.ShardedExecutor`)::
 
-        with Campaign(FuzzLoop(gen, factory, executor=exec_), "c") as camp:
+        executor = ShardedExecutor(factory, n_workers=4)
+        with Campaign(FuzzLoop(gen, executor=executor), "c") as camp:
             result = camp.run_tests(1000)
     """
 

@@ -51,9 +51,9 @@ class FuzzLoop:
         ``observe(inputs, coverages, scores)`` for feedback-driven fuzzers.
     harness:
         A :class:`~repro.soc.harness.DutHarness`, or a zero-arg factory for
-        one (e.g. :class:`~repro.soc.harness.HarnessFactory`).  Factories are
-        what parallel executors need — each worker process builds its own
-        harness from the pickled factory.
+        one (e.g. :class:`~repro.soc.harness.HarnessFactory`), run on a
+        :class:`~repro.fuzzing.executor.SerialExecutor`.  Pass exactly one
+        of ``harness`` and ``executor``.
     batch_size:
         Tests per generation batch (the paper's batch granularity drives
         incremental-coverage baselines).
@@ -61,14 +61,11 @@ class FuzzLoop:
         Install the counter-CSR false-positive filter (paper §IV-A).
     executor:
         Execution strategy for the differential step
-        (:class:`~repro.fuzzing.executor.HarnessExecutor`).  Defaults to
-        :class:`~repro.fuzzing.executor.SerialExecutor`; pass
-        ``ShardedExecutor(n_workers=...)`` to spread each batch over a
-        process pool.  An executor constructed without a factory is bound to
-        ``harness`` here, so ``FuzzLoop(gen, factory,
-        executor=ShardedExecutor(n_workers=4))`` just works.  Whatever the
-        strategy, per-test results reach the calculator, detector and
-        generator feedback in submission order, identical to serial.
+        (:class:`~repro.fuzzing.executor.HarnessExecutor`), built around
+        its own harness: pass ``ShardedExecutor(factory, n_workers=...)``
+        to spread each batch over a process pool.  Whatever the strategy,
+        per-test results reach the calculator, detector and generator
+        feedback in submission order, identical to serial.
     sink:
         Telemetry sink (:mod:`repro.obs.events`).  With the default
         :data:`~repro.obs.events.NULL_SINK` the loop does *no* telemetry
@@ -98,14 +95,14 @@ class FuzzLoop:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.generator = generator
         self.sink = sink
-        if executor is None:
-            executor = SerialExecutor(harness)
-        elif harness is not None:
-            executor.bind(harness)
-        self.executor = executor
+        if (harness is None) == (executor is None):
+            raise TypeError("FuzzLoop takes exactly one of harness and "
+                            "executor")
+        self.executor = (executor if executor is not None
+                         else SerialExecutor(harness))
         self.batch_size = batch_size
         self.clock = clock or SimClock()
-        self.calculator = CoverageCalculator(executor.total_arms, batch_mode=True)
+        self.calculator = CoverageCalculator(self.executor.total_arms)
         self.scorer = scorer or CoverageScorer()
         self.detector = MismatchDetector(
             filters=[counter_csr_filter] if use_default_filters else []
@@ -154,9 +151,7 @@ class FuzzLoop:
         """Restore a :meth:`state_dict` snapshot (inverse operation)."""
         self.generator = state["generator"]
         self.detector = state["detector"]
-        calculator = CoverageCalculator(
-            self.calculator.total_arms, batch_mode=self.calculator.batch_mode
-        )
+        calculator = CoverageCalculator(self.calculator.total_arms)
         calculator.cumulative.merge_bits(state["coverage"].to_int())
         self.calculator = calculator
         self.clock.seconds = state["clock_seconds"]
@@ -224,8 +219,6 @@ class FuzzLoop:
                     signature=list(found.signature), pc=found.pc,
                     detail=found.detail,
                 )
-        # Whole-batch coverage scoring in one vectorised sweep (identical to
-        # per-report observes — see repro.coverage.calculator).
         reports = [res.report for res in results]
         coverages: list[InputCoverage] = self.calculator.observe_batch(reports)
         self.clock.charge_tests(len(inputs))

@@ -41,29 +41,28 @@ class DifferentialResult:
     report: CoverageReport
 
 
-def _as_factory(harness_or_factory):
-    """Normalise to a zero-arg callable returning a harness.
+def run_chunk(harness, bodies: list[list[int]]) -> list[DifferentialResult]:
+    """Differentially simulate ``bodies`` on one harness, in order.
 
-    Accepts either an already-built harness object (wrapped in a trivial
-    closure — fine for in-process executors, rejected by process-pool ones)
-    or a zero-arg factory such as
-    :class:`~repro.soc.harness.HarnessFactory`.
+    The whole chunk goes through ``run_differential_batch`` so the batched
+    engines (a :class:`~repro.soc.harness.DutHarness` with
+    ``golden_lanes > 0`` and/or ``dut_lanes > 0``) run it as one vectorised
+    call; harnesses without the batch method (test stubs) run per body.
     """
-    if harness_or_factory is None:
-        raise TypeError("executor needs a harness or harness factory")
-    if callable(harness_or_factory):
-        return harness_or_factory
-    return lambda: harness_or_factory
+    batched = getattr(harness, "run_differential_batch", None)
+    if batched is not None:
+        return [DifferentialResult(*r) for r in batched(bodies)]
+    return [DifferentialResult(*harness.run_differential(body))
+            for body in bodies]
 
 
 class HarnessExecutor:
     """Base class / protocol for harness execution strategies.
 
-    An executor is bound to a harness factory (at construction or later via
-    :meth:`bind`, which is what ``FuzzLoop`` uses when it receives both a
-    factory and an unbound executor), runs batches with :meth:`run_batch`,
-    and releases any held resources on :meth:`close`.  Executors are context
-    managers; ``close`` is idempotent.
+    An executor receives its harness (or a factory for one) when it is
+    built, runs batches with :meth:`run_batch`, and releases any held
+    resources on :meth:`close`.  Executors are context managers; ``close``
+    is idempotent.
     """
 
     #: Telemetry sink (:mod:`repro.obs.events`): executors report pool
@@ -71,34 +70,6 @@ class HarnessExecutor:
     #: Assign a live sink directly; the default no-op sink keeps the
     #: unobserved hot path free of telemetry work.
     sink: EventSink = NULL_SINK
-
-    def __init__(self, harness_or_factory=None) -> None:
-        self._factory = (
-            _as_factory(harness_or_factory)
-            if harness_or_factory is not None else None
-        )
-
-    # -- binding ---------------------------------------------------------------
-
-    @property
-    def bound(self) -> bool:
-        return self._factory is not None
-
-    def bind(self, harness_or_factory) -> "HarnessExecutor":
-        """Attach the harness source; a no-op when already bound."""
-        if self._factory is None:
-            self._factory = _as_factory(harness_or_factory)
-        return self
-
-    def _require_factory(self):
-        if self._factory is None:
-            raise RuntimeError(
-                f"{type(self).__name__} is not bound to a harness factory; "
-                "pass one at construction or via bind()"
-            )
-        return self._factory
-
-    # -- interface -------------------------------------------------------------
 
     @property
     def total_arms(self) -> int:
@@ -120,31 +91,20 @@ class HarnessExecutor:
 
 
 class SerialExecutor(HarnessExecutor):
-    """Current behaviour: one harness, tests simulated in order, in-process."""
+    """One harness, tests simulated in order, in-process.
 
-    def __init__(self, harness_or_factory=None) -> None:
-        super().__init__(harness_or_factory)
-        self._harness = None
+    Takes a live harness or a zero-arg factory such as
+    :class:`~repro.soc.harness.HarnessFactory`, which is called once here.
+    """
 
-    @property
-    def harness(self):
-        """The lazily-built process-local harness."""
-        if self._harness is None:
-            self._harness = self._require_factory()()
-        return self._harness
+    def __init__(self, harness_or_factory) -> None:
+        #: The process-local harness.
+        self.harness = (harness_or_factory() if callable(harness_or_factory)
+                        else harness_or_factory)
 
     @property
     def total_arms(self) -> int:
         return self.harness.total_arms
 
     def run_batch(self, bodies: list[list[int]]) -> list[DifferentialResult]:
-        harness = self.harness
-        # Whole-batch routing lets the batched engines (DutHarness with
-        # golden_lanes > 0 and/or dut_lanes > 0) run every golden trace —
-        # and every DUT trace+report — in one vectorised call; harnesses
-        # without the batch method (test stubs) run per body.
-        batched = getattr(harness, "run_differential_batch", None)
-        if batched is not None:
-            return [DifferentialResult(*r) for r in batched(bodies)]
-        return [DifferentialResult(*harness.run_differential(body))
-                for body in bodies]
+        return run_chunk(self.harness, bodies)

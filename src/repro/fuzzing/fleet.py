@@ -77,13 +77,13 @@ from typing import Callable, Sequence
 
 from repro.fuzzing.campaign import Campaign, CampaignResult, CurvePoint
 from repro.fuzzing.chatfuzz import FuzzLoop
-from repro.fuzzing.executor import SerialExecutor
 from repro.fuzzing.faults import FaultPlan, FaultPoint
 from repro.fuzzing.pool import default_workers
 from repro.fuzzing.scheduler import BudgetScheduler, RoundRobin
 from repro.obs.events import NULL_SINK, EventSink, ListSink
 from repro.rtl.bitset import Bitset
-from repro.soc.harness import HarnessFactory, harness_factory
+from repro.rtl.report import disjoint_union_percent
+from repro.soc.harness import HarnessFactory
 
 #: Fuzzer kinds a spec can name without shipping a generator object.
 #: Builders are called as ``builder(seed=spec.seed, **spec.fuzzer_config)``.
@@ -133,19 +133,11 @@ class CampaignSpec:
     #: Prebuilt generator object; overrides ``fuzzer``/``fuzzer_config``.
     generator: object = None
     #: HarnessFactory, or a kind string ("rocket"/"boom"); None = rocket.
+    #: Lanes are a factory's perf knob, e.g.
+    #: ``HarnessFactory("rocket", golden_lanes=8)``: they never change
+    #: results, so :meth:`fingerprint` leaves them out and checkpoints
+    #: resume under a different width.
     harness: object = None
-    #: Lane-group width for the batched golden engine when ``harness`` is a
-    #: kind string or None (0 = scalar golden).  A perf knob only: lane
-    #: width never changes results (batched traces are bit-identical), so
-    #: it is deliberately excluded from :meth:`fingerprint` — checkpoints
-    #: resume fine under a different width.
-    golden_lanes: int = 0
-    #: Lane-group width for the kind's batched DUT engine (0 = scalar DUT;
-    #: kinds without one reject it at spec-construction time).  Same
-    #: perf-knob contract as ``golden_lanes``: bit-identical
-    #: traces and coverage at any width, so it is likewise excluded from
-    #: :meth:`fingerprint`.
-    dut_lanes: int = 0
     seed: int = 0
     batch_size: int = 16
     #: Test budget for whole-budget fleet runs (:meth:`FleetRunner.run`)
@@ -164,13 +156,9 @@ class CampaignSpec:
 
     def harness_factory(self) -> HarnessFactory:
         """Resolve the harness field to a picklable zero-arg factory."""
-        if self.harness is None:
-            return harness_factory("rocket", golden_lanes=self.golden_lanes,
-                                   dut_lanes=self.dut_lanes)
-        if isinstance(self.harness, str):
-            return harness_factory(self.harness,
-                                   golden_lanes=self.golden_lanes,
-                                   dut_lanes=self.dut_lanes)
+        if self.harness is None or isinstance(self.harness, str):
+            return HarnessFactory(
+                "rocket" if self.harness is None else self.harness)
         if callable(self.harness):
             return self.harness
         raise TypeError(
@@ -195,15 +183,14 @@ class CampaignSpec:
     def build_campaign(self) -> Campaign:
         """Materialise the campaign shell (harness elaboration happens here).
 
-        Always a :class:`SerialExecutor` inside: fleet workers are already
-        processes, so the differential step must stay in-process.
+        Always the loop's default serial executor inside: fleet workers are
+        already processes, so the differential step must stay in-process.
         """
         loop = FuzzLoop(
             self.build_generator(),
             self.harness_factory(),
             batch_size=self.batch_size,
             use_default_filters=self.use_default_filters,
-            executor=SerialExecutor(),
         )
         return Campaign(loop, self.name)
 
@@ -403,8 +390,8 @@ class FleetResult:
         if len(sizes) > 1:
             raise ValueError(
                 "campaigns cover different DUT universes "
-                f"({sorted(sizes)} arms); union coverage is only defined "
-                "per-universe — aggregate matching campaigns separately"
+                f"({sorted(sizes)} arms); a union bitmap is only defined "
+                "per universe — aggregate matching campaigns separately"
             )
         return sizes.pop() if sizes else 0
 
@@ -419,10 +406,15 @@ class FleetResult:
 
     @property
     def union_percent(self) -> float:
-        universe = self._universe()
-        if universe == 0:
-            return 0.0
-        return 100.0 * len(self.union_coverage()) / universe
+        """Union coverage percent, with one union per DUT universe size,
+        so it is defined for fleets that mix Rocket and BOOM arms too (see
+        :func:`~repro.rtl.report.disjoint_union_percent`)."""
+        unions: dict[int, int] = {}
+        for campaign in self.campaigns:
+            universe = campaign.total_arms
+            unions[universe] = (unions.get(universe, 0)
+                                | campaign.final_coverage.to_int())
+        return disjoint_union_percent(unions)
 
     def merged_curve(self) -> list[CurvePoint]:
         """The fleet's coverage trajectory on a shared sim-hours epoch.
@@ -1423,12 +1415,13 @@ class FleetRunner:
         elif concurrency is None:
             concurrency = max(1, self.n_workers)
         stats = self._begin_stats(mode, concurrency, health)
-        union_bits = 0
-        universe = 0
+        # The fleet union, one bitmap per DUT universe size: arms of
+        # different designs never share an arm.
+        unions: dict[int, int] = {}
         for state in states.values():
             coverage: Bitset = state["loop"]["coverage"]
-            union_bits |= coverage.to_int()
-            universe = max(universe, coverage.nbits)
+            unions[coverage.nbits] = (unions.get(coverage.nbits, 0)
+                                      | coverage.to_int())
         spent = sum(tests(index) for index in states)
         # Tests promised to picked, not yet folded slices, so the shared
         # total_tests cap holds at dispatch time; ``picked`` keeps an arm
@@ -1447,9 +1440,8 @@ class FleetRunner:
             """The scheduler's next slice, or None once a stop condition
             holds."""
             nonlocal reserved
-            if (target_percent is not None and universe > 0
-                    and 100.0 * union_bits.bit_count() / universe
-                    >= target_percent):
+            if (target_percent is not None and sum(unions)
+                    and disjoint_union_percent(unions) >= target_percent):
                 return None
             if total_tests is not None and spent + reserved >= total_tests:
                 return None
@@ -1476,7 +1468,7 @@ class FleetRunner:
         def fold(completed: list[tuple[_SliceTask, tuple]]) -> None:
             """Fold finished slices in order (union, reward, scheduler,
             stats), then checkpoint them together."""
-            nonlocal spent, union_bits, universe, rounds
+            nonlocal spent, rounds
             for task, output in completed:
                 release(task)
                 state, result, busy, _events = output
@@ -1484,10 +1476,12 @@ class FleetRunner:
                 self._emit_completion(task.arm, output, ran)
                 spent += ran
                 states[task.arm] = state
+                # Reward the arms new to the slice's own universe.
+                universe = result.final_coverage.nbits
                 bits = result.final_coverage.to_int()
-                gained = (bits & ~union_bits).bit_count()
-                union_bits |= bits
-                universe = max(universe, result.final_coverage.nbits)
+                union = unions.get(universe, 0)
+                gained = (bits & ~union).bit_count()
+                unions[universe] = union | bits
                 scheduler.on_slice_complete(
                     task.arm, ran, gained / universe if universe else 0.0
                 )

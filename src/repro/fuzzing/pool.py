@@ -39,7 +39,11 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from repro.fuzzing.executor import DifferentialResult, HarnessExecutor
+from repro.fuzzing.executor import (
+    DifferentialResult,
+    HarnessExecutor,
+    run_chunk,
+)
 
 #: Process-local harness, installed by :func:`_init_worker` in each worker.
 _WORKER_HARNESS = None
@@ -53,18 +57,12 @@ def _init_worker(factory) -> None:
 def _run_chunk(bodies: list[list[int]]) -> list[DifferentialResult]:
     """Worker-side task: differentially simulate one contiguous chunk.
 
-    A chunk is also the batched engines' lane group: harnesses built with
-    ``golden_lanes > 0`` run the chunk's golden traces as one vectorised
-    call, and ``dut_lanes > 0`` does the same for the DUT traces and
-    coverage reports, so pool chunking and laning compose (see the
-    ROADMAP's "Choosing lane widths (golden + DUT)" guidance).
+    A chunk is also the batched engines' lane group (see
+    :func:`~repro.fuzzing.executor.run_chunk`), so pool chunking and
+    laning compose (see the ROADMAP's "Choosing lane widths (golden +
+    DUT)" guidance).
     """
-    harness = _WORKER_HARNESS
-    batched = getattr(harness, "run_differential_batch", None)
-    if batched is not None:
-        return [DifferentialResult(*r) for r in batched(bodies)]
-    return [DifferentialResult(*harness.run_differential(body))
-            for body in bodies]
+    return run_chunk(_WORKER_HARNESS, bodies)
 
 
 def default_workers() -> int:
@@ -90,10 +88,8 @@ class ShardedExecutor(HarnessExecutor):
     ----------
     harness_factory:
         Picklable zero-arg callable building a ``DutHarness``
-        (:class:`~repro.soc.harness.HarnessFactory` is the canonical one).
-        May be omitted and supplied later through ``bind`` — which is what
-        ``FuzzLoop(generator, factory, executor=ShardedExecutor(n_workers=4))``
-        does.
+        (:class:`~repro.soc.harness.HarnessFactory` is the canonical one);
+        each worker builds its own harness from it.
     n_workers:
         Pool size.  Defaults to the machine's CPU count.
     chunk_size:
@@ -107,15 +103,15 @@ class ShardedExecutor(HarnessExecutor):
         behaviour (the breakage propagates on first occurrence).
     """
 
-    def __init__(self, harness_factory=None, n_workers: int | None = None,
+    def __init__(self, harness_factory, n_workers: int | None = None,
                  chunk_size: int | None = None, max_retries: int = 1) -> None:
-        if harness_factory is not None and not callable(harness_factory):
+        if not callable(harness_factory):
             raise TypeError(
                 "ShardedExecutor needs a picklable zero-arg factory (e.g. "
                 "repro.soc.harness.HarnessFactory), not a live harness; "
                 "workers build their own harness from it"
             )
-        super().__init__(harness_factory)
+        self._factory = harness_factory
         self.n_workers = n_workers if n_workers is not None else default_workers()
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
@@ -128,15 +124,6 @@ class ShardedExecutor(HarnessExecutor):
         self._total_arms: int | None = None
         self._closed = False
 
-    def bind(self, harness_or_factory) -> "ShardedExecutor":
-        if self._factory is None and not callable(harness_or_factory):
-            raise TypeError(
-                "ShardedExecutor cannot adopt a live harness; bind a "
-                "picklable zero-arg factory instead"
-            )
-        super().bind(harness_or_factory)
-        return self
-
     # -- lifecycle -------------------------------------------------------------
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -146,7 +133,7 @@ class ShardedExecutor(HarnessExecutor):
             self._pool = ProcessPoolExecutor(
                 max_workers=self.n_workers,
                 initializer=_init_worker,
-                initargs=(self._require_factory(),),
+                initargs=(self._factory,),
             )
         return self._pool
 
@@ -178,11 +165,11 @@ class ShardedExecutor(HarnessExecutor):
         if self._total_arms is None:
             # One throwaway parent-side harness for the static metadata; only
             # the int is kept — per-test simulation happens in the workers.
-            self._total_arms = self._require_factory()().total_arms
+            self._total_arms = self._factory().total_arms
         return self._total_arms
 
     def _lane_width(self) -> int:
-        """Largest lane-group width the bound factory's harnesses use.
+        """Largest lane-group width the factory's harnesses use.
 
         Factories without lane knobs (custom callables, stubs) report 0.
         """

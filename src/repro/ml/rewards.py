@@ -64,7 +64,7 @@ class CoverageReward:
 
     def __init__(self, harness, weights: ScoreWeights | None = None) -> None:
         self.harness = harness
-        self.calculator = CoverageCalculator(harness.total_arms, batch_mode=True)
+        self.calculator = CoverageCalculator(harness.total_arms)
         self.scorer = CoverageScorer(weights)
         #: Campaign telemetry, exposed for training curves.
         self.history: list[float] = []

@@ -31,6 +31,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
+from repro.analysis.bugs import classify_bug_rows
 from repro.obs.store import ResultsStore
 
 _PAGE = """<!doctype html>
@@ -111,36 +112,6 @@ async function refresh() {
 refresh(); setInterval(refresh, 2000);
 </script></body></html>
 """
-
-
-def classify_bug_rows(aggregates_dict: dict) -> list[dict]:
-    """Attribute a store's unique mismatch signatures to known bugs.
-
-    The JSON form of the E-BUGS table: one row per unique signature with
-    the matched bug id (``UNEXPLAINED`` if none) and the arms that saw it.
-    """
-    from repro.analysis.bugs import classify_mismatch
-    from repro.fuzzing.mismatch import Mismatch
-
-    def freeze(value):
-        if isinstance(value, list):
-            return tuple(freeze(item) for item in value)
-        return value
-
-    rows = []
-    for entry in aggregates_dict.get("mismatches", []):
-        match = classify_mismatch(Mismatch(
-            kind=entry["kind"], index=0, pc=entry["pc"],
-            detail=entry["detail"], signature=freeze(entry["signature"]),
-        ))
-        rows.append({
-            "bug": match.bug_id if match else "UNEXPLAINED",
-            "kind": entry["kind"],
-            "campaigns": entry["campaigns"],
-            "detail": entry["detail"],
-        })
-    rows.sort(key=lambda row: (row["bug"], row["kind"]))
-    return rows
 
 
 class DashboardServer:

@@ -48,6 +48,7 @@ from repro.obs.events import (
     WorkerIdentity,
 )
 from repro.rtl.bitset import Bitset
+from repro.rtl.report import disjoint_union_percent
 
 #: Bitmap file header: 8 little-endian bytes of universe size (nbits).
 _COV_HEADER_BYTES = 8
@@ -250,8 +251,10 @@ class StoreAggregates:
     #: Per-arm rows: name, tests, coverage %, downsampled curve, busy
     #: seconds, quarantine flag and per-phase wall-time sums.
     arms: list[dict] = field(default_factory=list)
-    #: Fleet-union coverage percent (union of the latest per-arm bitmaps).
+    #: Fleet-union coverage percent (union of the latest per-arm bitmaps,
+    #: one union per universe size, so Rocket and BOOM arms mix soundly).
     union_percent: float = 0.0
+    #: Arms summed over those universes.
     universe: int = 0
     total_tests: int = 0
     busy_seconds: float = 0.0
@@ -372,7 +375,7 @@ class StoreAggregates:
                 if name is not None:
                     arm_row(name)["phases"][phase] += seconds
             elif kind == "mismatch_found":
-                signature = tuple(_freeze(data.get("signature", [])))
+                signature = tuple(freeze_json(data.get("signature", [])))
                 entry = seen_signatures.get(signature)
                 if entry is None:
                     entry = seen_signatures[signature] = {
@@ -389,12 +392,12 @@ class StoreAggregates:
             agg.live = True
             agg.wall_seconds += max(0.0, agg.last_event_t - open_run_started)
 
-        union = 0
+        unions: dict[int, int] = {}
         for bitmap in bitmaps.values():
-            union |= bitmap.to_int()
-            agg.universe = max(agg.universe, bitmap.nbits)
-        if agg.universe:
-            agg.union_percent = 100.0 * union.bit_count() / agg.universe
+            unions[bitmap.nbits] = (unions.get(bitmap.nbits, 0)
+                                    | bitmap.to_int())
+        agg.universe = sum(unions)
+        agg.union_percent = disjoint_union_percent(unions)
 
         for name in sorted(arms):
             row = arms[name]
@@ -413,9 +416,9 @@ class StoreAggregates:
         return agg
 
 
-def _freeze(value):
+def freeze_json(value):
     """JSON round-trips tuples as lists; re-freeze nested lists so rebuilt
     mismatch signatures hash and compare like the originals."""
     if isinstance(value, list):
-        return tuple(_freeze(item) for item in value)
+        return tuple(freeze_json(item) for item in value)
     return value

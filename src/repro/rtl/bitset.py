@@ -13,9 +13,7 @@ single Python ``int`` — an arbitrary-precision bitmap whose bitwise ops,
 popcount (``int.bit_count``) and (de)serialisation all run limb-at-a-time in
 C.  For a few hundred arms this beats both ``numpy`` scalar indexing (per-op
 dispatch overhead) and ``bytearray`` read-modify-write on the record path,
-while still exposing the packed bytes (:meth:`to_bytes`, :meth:`words`) that
-the vectorised batch consumers (``repro.coverage.calculator``) feed to
-``numpy``.
+while still exposing the packed bytes (:meth:`to_bytes`, :meth:`words`).
 
 The API is deliberately set-compatible — ``in``, ``len``, iteration,
 equality against ``set``/``frozenset``, ``&``/``|``/``-`` (including

@@ -112,3 +112,17 @@ class CumulativeCoverage:
     @property
     def percent(self) -> float:
         return 100.0 * self.fraction
+
+
+def disjoint_union_percent(unions: dict[int, int]) -> float:
+    """Coverage percent of a union that may span several designs.
+
+    ``unions`` maps a universe size (arm count) to the OR of the bitmaps
+    drawn from it.  Different designs share no arm, so this is the covered
+    arms summed over universes divided by the arms summed over universes;
+    with one universe it is that universe's percent.
+    """
+    arms = sum(unions)
+    if not arms:
+        return 0.0
+    return 100.0 * sum(bits.bit_count() for bits in unions.values()) / arms

@@ -13,9 +13,11 @@ its microarchitectural latency (cache misses, hazards, mispredicts), while
 instruction semantics come from the golden executor so ISA correctness lives
 in one place.  :class:`~repro.soc.harness.DutHarness` runs a program and
 returns ``(CommitTrace, CoverageReport)`` — the two artifacts the fuzzing
-loop consumes.
+loop consumes.  ``make_harness(kind)`` builds one for a registered core
+kind; :class:`~repro.soc.harness.HarnessFactory` is the picklable recipe
+that executors and fleet specs carry instead of a live harness.
 """
 
-from repro.soc.harness import DutHarness, make_boom_harness, make_rocket_harness
+from repro.soc.harness import DutHarness, HarnessFactory, make_harness
 
-__all__ = ["DutHarness", "make_boom_harness", "make_rocket_harness"]
+__all__ = ["DutHarness", "HarnessFactory", "make_harness"]

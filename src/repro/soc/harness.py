@@ -281,18 +281,6 @@ def make_harness(kind: str = "rocket", params=None, golden_lanes: int = 0,
                       golden_lanes=golden_lanes, dut_lanes=dut_lanes)
 
 
-def make_rocket_harness(params=None, golden_lanes: int = 0,
-                        dut_lanes: int = 0) -> DutHarness:
-    """Harness around a (buggy, by default) RocketCore."""
-    return make_harness("rocket", params, golden_lanes, dut_lanes)
-
-
-def make_boom_harness(params=None, golden_lanes: int = 0,
-                      dut_lanes: int = 0) -> DutHarness:
-    """Harness around a BoomCore."""
-    return make_harness("boom", params, golden_lanes, dut_lanes)
-
-
 @dataclass(frozen=True)
 class HarnessFactory:
     """Picklable recipe for building a :class:`DutHarness`.
@@ -302,7 +290,11 @@ class HarnessFactory:
     which builds its own harness once from it — the params dataclasses
     pickle cheaply, while a live harness (core + caches + coverage database)
     would not.  Calling the factory builds a fresh, independent harness, so
-    it also serves as the harness argument to ``FuzzLoop``.
+    it also serves as the harness argument to ``FuzzLoop`` and is what a
+    fleet's :class:`~repro.fuzzing.fleet.CampaignSpec` resolves a kind
+    string to.  Construction validates the kind and, when ``dut_lanes`` is
+    requested, the kind's batch-engine capability, so a bad recipe fails
+    where it is written rather than inside a worker process.
     """
 
     kind: str = "rocket"
@@ -313,37 +305,13 @@ class HarnessFactory:
     #: kinds without a registered engine reject it with a loud error).
     dut_lanes: int = 0
 
+    def __post_init__(self) -> None:
+        engine = resolve_engine(self.kind)
+        if self.dut_lanes and engine.batch_cls is None:
+            raise ValueError(
+                f"dut_lanes requires a harness kind with a batch engine; "
+                f"{self.kind!r} declares none in ENGINE_REGISTRY")
+
     def __call__(self) -> DutHarness:
         return make_harness(self.kind, self.params, self.golden_lanes,
                             self.dut_lanes)
-
-
-def harness_factory(kind: str = "rocket", params=None,
-                    golden_lanes: int = 0,
-                    dut_lanes: int = 0) -> HarnessFactory:
-    """Picklable factory for any registered harness kind.
-
-    The generic entry point fleet specs use
-    (:class:`repro.fuzzing.fleet.CampaignSpec` accepts a kind string and
-    resolves it here), validating the kind — and, when ``dut_lanes`` is
-    requested, the kind's batch-engine capability — at spec-build time
-    rather than inside a worker process.
-    """
-    engine = resolve_engine(kind)
-    if dut_lanes and engine.batch_cls is None:
-        raise ValueError(
-            f"dut_lanes requires a harness kind with a batch engine; "
-            f"{kind!r} declares none in ENGINE_REGISTRY")
-    return HarnessFactory(kind, params, golden_lanes, dut_lanes)
-
-
-def rocket_harness_factory(params=None, golden_lanes: int = 0,
-                           dut_lanes: int = 0) -> HarnessFactory:
-    """Picklable factory for :func:`make_rocket_harness`."""
-    return harness_factory("rocket", params, golden_lanes, dut_lanes)
-
-
-def boom_harness_factory(params=None, golden_lanes: int = 0,
-                         dut_lanes: int = 0) -> HarnessFactory:
-    """Picklable factory for :func:`make_boom_harness`."""
-    return harness_factory("boom", params, golden_lanes, dut_lanes)

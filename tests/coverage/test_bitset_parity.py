@@ -6,8 +6,7 @@ observationally identical to the original hash-set implementation retained
 in ``repro.coverage.reference``.  These tests drive both with identical
 observation streams — synthetic pseudo-random streams and real reports from
 RocketCore and BoomCore runs — and assert equal hits, counts, increments,
-totals, percents and scores in both calculator modes, through both the
-scalar and the vectorised batch paths.
+totals, percents and scores, per report and per batch.
 """
 
 import random
@@ -20,7 +19,7 @@ from repro.coverage.reference import (
     SetCoverageCalculator,
     SetCoverageReport,
 )
-from repro.coverage.scoring import CoverageScorer, ScoreWeights
+from repro.coverage.scoring import CoverageScorer
 from repro.rtl.coverage import ConditionCoverage
 from repro.rtl.report import CoverageReport
 from repro.soc.harness import make_harness
@@ -86,15 +85,14 @@ class TestRecordingParity:
         assert bit_cov.run_hits == set() == set_cov.run_hits
 
 
-@pytest.mark.parametrize("batch_mode", [True, False])
 @pytest.mark.parametrize("seed", [0, 7])
 class TestCalculatorParity:
-    def test_observe_stream(self, batch_mode, seed):
-        """Scalar observes, interleaved with begin_batch, match exactly."""
+    def test_observe_stream(self, seed):
+        """Per-report observes, interleaved with begin_batch, match exactly."""
         bit_cov, set_cov = build_engines()
         rng = random.Random(seed)
-        bit_calc = CoverageCalculator(bit_cov.total_arms, batch_mode=batch_mode)
-        set_calc = SetCoverageCalculator(set_cov.total_arms, batch_mode=batch_mode)
+        bit_calc = CoverageCalculator(bit_cov.total_arms)
+        set_calc = SetCoverageCalculator(set_cov.total_arms)
         for step in range(30):
             if step % 10 == 0:
                 bit_calc.begin_batch()
@@ -104,47 +102,19 @@ class TestCalculatorParity:
         assert bit_calc.total_percent == set_calc.total_percent
         assert set(bit_calc.cumulative.hits) == set_calc.cumulative.hits
 
-    def test_observe_batch_vectorised(self, batch_mode, seed):
-        """The numpy batch sweep equals the reference per-report loop."""
+    def test_observe_batch(self, seed):
+        """observe_batch equals the reference engine's batch, batch after
+        batch."""
         bit_cov, set_cov = build_engines()
         rng = random.Random(seed)
-        bit_calc = CoverageCalculator(bit_cov.total_arms, batch_mode=batch_mode)
-        set_calc = SetCoverageCalculator(set_cov.total_arms, batch_mode=batch_mode)
+        bit_calc = CoverageCalculator(bit_cov.total_arms)
+        set_calc = SetCoverageCalculator(set_cov.total_arms)
         for _ in range(4):  # several batches: baselines evolve between them
             pairs = [make_report_pair(bit_cov, set_cov, rng) for _ in range(16)]
             bit_out = bit_calc.observe_batch([p[0] for p in pairs])
             set_out = set_calc.observe_batch([p[1] for p in pairs])
             assert bit_out == set_out
         assert bit_calc.total_percent == set_calc.total_percent
-
-    def test_vectorised_equals_scalar_path(self, batch_mode, seed):
-        """observe_batch == begin_batch + observe loop on the same engine."""
-        bit_cov, set_cov = build_engines()
-        rng = random.Random(seed)
-        vec = CoverageCalculator(bit_cov.total_arms, batch_mode=batch_mode)
-        scalar = CoverageCalculator(bit_cov.total_arms, batch_mode=batch_mode)
-        reports = [make_report_pair(bit_cov, set_cov, rng)[0] for _ in range(16)]
-        vec_out = vec.observe_batch(reports)
-        scalar.begin_batch()
-        scalar_out = [scalar.observe(r) for r in reports]
-        assert vec_out == scalar_out
-        assert vec.cumulative.count == scalar.cumulative.count
-
-
-class TestScoringParity:
-    @pytest.mark.parametrize("weights", [None, ScoreWeights(
-        standalone_weight=1.5, incremental_weight=12.0, improvement_bonus=0.5,
-        stagnation_penalty=2.0, exploration_weight=3.0)])
-    def test_score_batch_matches_scalar(self, weights):
-        bit_cov, set_cov = build_engines()
-        rng = random.Random(11)
-        calc = CoverageCalculator(bit_cov.total_arms)
-        reports = [make_report_pair(bit_cov, set_cov, rng)[0] for _ in range(32)]
-        coverages = calc.observe_batch(reports)
-        scorer = CoverageScorer(weights)
-        assert scorer.score_batch(coverages) == [
-            scorer.score(c) for c in coverages
-        ]
 
 
 class TestRealHarnessParity:

@@ -27,7 +27,7 @@ class TestCalculator:
     def test_batch_mode_baseline(self):
         """Within a batch, increments are measured against the *previous
         batch's* total — the paper's granularity."""
-        calc = CoverageCalculator(total_arms=20, batch_mode=True)
+        calc = CoverageCalculator(total_arms=20)
         calc.begin_batch()
         calc.observe(report({0, 1}))
         repeat = calc.observe(report({0, 1}))
@@ -35,12 +35,6 @@ class TestCalculator:
         calc.begin_batch()
         after = calc.observe(report({0, 1}))
         assert after.incremental == 0   # now part of the baseline
-
-    def test_sequential_mode(self):
-        calc = CoverageCalculator(total_arms=20, batch_mode=False)
-        calc.observe(report({0, 1}))
-        second = calc.observe(report({0, 1, 2}))
-        assert second.incremental == 1
 
     def test_observe_batch_resets_baseline(self):
         calc = CoverageCalculator(total_arms=20)

@@ -22,7 +22,7 @@ from repro.fuzzing.pool import ShardedExecutor
 from repro.golden.trace import CommitTrace
 from repro.isa.encoder import encode
 from repro.rtl.report import CoverageReport
-from repro.soc.harness import make_rocket_harness, rocket_harness_factory
+from repro.soc.harness import HarnessFactory, make_harness
 
 #: Worker-crash style exercised by the failure-mode tests below.
 POISON_RAISE = 0xDEAD_BEEF
@@ -61,51 +61,52 @@ def exploding_factory() -> ExplodingHarness:
 
 class TestSerialExecutor:
     def test_accepts_live_harness(self):
-        executor = SerialExecutor(make_rocket_harness())
+        executor = SerialExecutor(make_harness("rocket"))
         results = executor.run_batch(_bodies(2))
         assert len(results) == 2
         assert all(isinstance(r, DifferentialResult) for r in results)
 
-    def test_accepts_factory_and_builds_lazily(self):
-        executor = SerialExecutor(rocket_harness_factory())
-        assert executor._harness is None
+    def test_accepts_factory_and_builds_once(self):
+        executor = SerialExecutor(HarnessFactory("rocket"))
         assert executor.total_arms > 0
         assert executor.harness is executor.harness  # built once, reused
 
     def test_matches_direct_harness_calls(self):
-        harness = make_rocket_harness()
-        results = SerialExecutor(rocket_harness_factory()).run_batch(_bodies(3))
+        harness = make_harness("rocket")
+        results = SerialExecutor(HarnessFactory("rocket")).run_batch(_bodies(3))
         for body, res in zip(_bodies(3), results):
             dut, gold, report = harness.run_differential(body)
             assert (res.dut_trace, res.golden_trace, res.report) == \
                 (dut, gold, report)
 
-    def test_unbound_raises(self):
-        with pytest.raises(RuntimeError, match="not bound"):
-            SerialExecutor().run_batch(_bodies(1))
+    def test_loop_takes_exactly_one_harness_source(self):
+        factory = HarnessFactory("rocket")
+        gen = TheHuzzGenerator(body_instructions=4, seed=1)
+        with pytest.raises(TypeError, match="exactly one"):
+            FuzzLoop(gen)
+        with pytest.raises(TypeError, match="exactly one"):
+            FuzzLoop(gen, factory, executor=SerialExecutor(factory))
 
 
 class TestShardedExecutor:
     def test_rejects_live_harness(self):
         with pytest.raises(TypeError, match="factory"):
-            ShardedExecutor(make_rocket_harness())
-        with pytest.raises(TypeError, match="factory"):
-            ShardedExecutor().bind(make_rocket_harness())
+            ShardedExecutor(make_harness("rocket"))
 
     def test_total_arms_matches_serial(self):
-        factory = rocket_harness_factory()
+        factory = HarnessFactory("rocket")
         with ShardedExecutor(factory, n_workers=2) as executor:
             assert executor.total_arms == SerialExecutor(factory).total_arms
 
     def test_results_in_submission_order(self):
         bodies = _bodies(13)
-        serial = SerialExecutor(rocket_harness_factory()).run_batch(bodies)
-        with ShardedExecutor(rocket_harness_factory(), n_workers=4) as executor:
+        serial = SerialExecutor(HarnessFactory("rocket")).run_batch(bodies)
+        with ShardedExecutor(HarnessFactory("rocket"), n_workers=4) as executor:
             sharded = executor.run_batch(bodies)
         assert sharded == serial
 
     def test_chunking_and_worker_reuse_across_batches(self):
-        with ShardedExecutor(rocket_harness_factory(), n_workers=2,
+        with ShardedExecutor(HarnessFactory("rocket"), n_workers=2,
                              chunk_size=1) as executor:
             executor.run_batch(_bodies(5))
             pool = executor._pool
@@ -116,7 +117,7 @@ class TestShardedExecutor:
             assert executor.stats.chunks == 8  # chunk_size=1 -> one per body
 
     def test_default_chunking_is_one_chunk_per_worker(self):
-        with ShardedExecutor(rocket_harness_factory(), n_workers=4) as executor:
+        with ShardedExecutor(HarnessFactory("rocket"), n_workers=4) as executor:
             executor.run_batch(_bodies(10))
             assert executor.stats.chunks == 4  # ceil(10/4)=3 -> 3,3,3,1
 
@@ -124,7 +125,7 @@ class TestShardedExecutor:
         # Even-split would give ceil(64/4)=16-body chunks, starving the
         # 32-lane engines; auto-sizing must widen to max(lanes, even_split).
         executor = ShardedExecutor(
-            rocket_harness_factory(golden_lanes=32, dut_lanes=8), n_workers=4)
+            HarnessFactory("rocket", golden_lanes=32, dut_lanes=8), n_workers=4)
         chunks = executor._chunks(_bodies(64))
         assert [len(c) for c in chunks] == [32, 32]
         # Larger batches keep the even split once it exceeds the lane width.
@@ -133,23 +134,23 @@ class TestShardedExecutor:
 
     def test_explicit_chunk_size_overrides_lane_width(self):
         executor = ShardedExecutor(
-            rocket_harness_factory(golden_lanes=32), n_workers=4,
+            HarnessFactory("rocket", golden_lanes=32), n_workers=4,
             chunk_size=8)
         assert [len(c) for c in executor._chunks(_bodies(32))] == [8] * 4
         executor.close()
 
     def test_laneless_factories_keep_plain_even_split(self):
-        executor = ShardedExecutor(rocket_harness_factory(), n_workers=4)
+        executor = ShardedExecutor(HarnessFactory("rocket"), n_workers=4)
         assert [len(c) for c in executor._chunks(_bodies(10))] == [3, 3, 3, 1]
         executor.close()
 
     def test_empty_batch(self):
-        with ShardedExecutor(rocket_harness_factory(), n_workers=2) as executor:
+        with ShardedExecutor(HarnessFactory("rocket"), n_workers=2) as executor:
             assert executor.run_batch([]) == []
             assert executor.stats.batches == 0
 
     def test_close_is_idempotent_and_final(self):
-        executor = ShardedExecutor(rocket_harness_factory(), n_workers=2)
+        executor = ShardedExecutor(HarnessFactory("rocket"), n_workers=2)
         executor.run_batch(_bodies(2))
         executor.close()
         executor.close()
@@ -159,7 +160,7 @@ class TestShardedExecutor:
     def test_invalid_worker_count(self):
         for bad in (0, -2):
             with pytest.raises(ValueError):
-                ShardedExecutor(rocket_harness_factory(), n_workers=bad)
+                ShardedExecutor(HarnessFactory("rocket"), n_workers=bad)
 
 
 @fork_only
@@ -189,9 +190,9 @@ class TestFailureModes:
                     batch[n // 2] = [POISON_RAISE]
                 return batch
 
-        loop = FuzzLoop(PoisonOnceGenerator(), exploding_factory,
-                        batch_size=4,
-                        executor=ShardedExecutor(n_workers=2, chunk_size=1))
+        loop = FuzzLoop(PoisonOnceGenerator(), batch_size=4,
+                        executor=ShardedExecutor(exploding_factory,
+                                                 n_workers=2, chunk_size=1))
         with loop:
             with pytest.raises(ValueError):
                 loop.run_batch()
@@ -225,7 +226,6 @@ class TestShardedSerialParity:
     def _run(self, executor):
         loop = FuzzLoop(
             TheHuzzGenerator(body_instructions=16, seed=5),
-            rocket_harness_factory(),
             batch_size=self.BATCH_SIZE,
             executor=executor,
         )
@@ -234,8 +234,10 @@ class TestShardedSerialParity:
         return loop, outcomes
 
     def test_outcome_streams_identical(self):
-        serial_loop, serial_out = self._run(None)
-        sharded_loop, sharded_out = self._run(ShardedExecutor(n_workers=4))
+        factory = HarnessFactory("rocket")
+        serial_loop, serial_out = self._run(SerialExecutor(factory))
+        sharded_loop, sharded_out = self._run(
+            ShardedExecutor(factory, n_workers=4))
         for ser, shd in zip(serial_out, sharded_out):
             assert shd.scores == ser.scores
             assert shd.coverages == ser.coverages
@@ -252,15 +254,15 @@ class TestShardedSerialParity:
         def campaign(executor):
             loop = FuzzLoop(
                 TheHuzzGenerator(body_instructions=16, seed=9),
-                rocket_harness_factory(),
                 batch_size=self.BATCH_SIZE,
                 executor=executor,
             )
             with Campaign(loop, "parity") as camp:
                 return camp.run_tests(self.BATCHES * self.BATCH_SIZE)
 
-        serial = campaign(None)
-        sharded = campaign(ShardedExecutor(n_workers=4))
+        factory = HarnessFactory("rocket")
+        serial = campaign(SerialExecutor(factory))
+        sharded = campaign(ShardedExecutor(factory, n_workers=4))
         assert sharded.curve == serial.curve
         assert sharded.tests_run == serial.tests_run
         assert sharded.sim_hours == serial.sim_hours
@@ -277,8 +279,8 @@ class TestBatchedGoldenParity:
     def test_serial_executor_routes_batched_golden(self):
         gen = TheHuzzGenerator(body_instructions=20, seed=7)
         bodies = [t.words for t in gen.generate_batch(16)]
-        with SerialExecutor(rocket_harness_factory()) as scalar_ex, \
-                SerialExecutor(rocket_harness_factory(golden_lanes=8)) as batched_ex:
+        with SerialExecutor(HarnessFactory("rocket")) as scalar_ex, \
+                SerialExecutor(HarnessFactory("rocket", golden_lanes=8)) as batched_ex:
             assert batched_ex.harness._golden_batch is not None
             scalar_results = scalar_ex.run_batch(bodies)
             batched_results = batched_ex.run_batch(bodies)
@@ -293,7 +295,7 @@ class TestBatchedGoldenParity:
         def run(golden_lanes):
             loop = FuzzLoop(
                 TheHuzzGenerator(body_instructions=16, seed=5),
-                rocket_harness_factory(golden_lanes=golden_lanes),
+                HarnessFactory("rocket", golden_lanes=golden_lanes),
                 batch_size=8,
             )
             with loop:
@@ -308,9 +310,9 @@ class TestBatchedGoldenParity:
     def test_sharded_chunks_ride_batched_golden(self):
         gen = TheHuzzGenerator(body_instructions=16, seed=3)
         bodies = [t.words for t in gen.generate_batch(16)]
-        with SerialExecutor(rocket_harness_factory()) as serial_ex:
+        with SerialExecutor(HarnessFactory("rocket")) as serial_ex:
             expected = serial_ex.run_batch(bodies)
-        with ShardedExecutor(rocket_harness_factory(golden_lanes=8),
+        with ShardedExecutor(HarnessFactory("rocket", golden_lanes=8),
                              n_workers=2) as sharded_ex:
             got = sharded_ex.run_batch(bodies)
         for ref, out in zip(expected, got):
@@ -326,8 +328,8 @@ class TestBatchedDutParity:
     def test_serial_executor_routes_batched_dut(self):
         gen = TheHuzzGenerator(body_instructions=20, seed=7)
         bodies = [t.words for t in gen.generate_batch(16)]
-        with SerialExecutor(rocket_harness_factory()) as scalar_ex, \
-                SerialExecutor(rocket_harness_factory(dut_lanes=8)) as batched_ex:
+        with SerialExecutor(HarnessFactory("rocket")) as scalar_ex, \
+                SerialExecutor(HarnessFactory("rocket", dut_lanes=8)) as batched_ex:
             assert batched_ex.harness._dut_batch is not None
             scalar_results = scalar_ex.run_batch(bodies)
             batched_results = batched_ex.run_batch(bodies)
@@ -343,8 +345,8 @@ class TestBatchedDutParity:
         def run(golden_lanes, dut_lanes):
             loop = FuzzLoop(
                 TheHuzzGenerator(body_instructions=16, seed=5),
-                rocket_harness_factory(golden_lanes=golden_lanes,
-                                       dut_lanes=dut_lanes),
+                HarnessFactory("rocket", golden_lanes=golden_lanes,
+                               dut_lanes=dut_lanes),
                 batch_size=8,
             )
             with loop:
@@ -359,10 +361,10 @@ class TestBatchedDutParity:
     def test_sharded_chunks_ride_batched_dut(self):
         gen = TheHuzzGenerator(body_instructions=16, seed=3)
         bodies = [t.words for t in gen.generate_batch(16)]
-        with SerialExecutor(rocket_harness_factory()) as serial_ex:
+        with SerialExecutor(HarnessFactory("rocket")) as serial_ex:
             expected = serial_ex.run_batch(bodies)
-        with ShardedExecutor(rocket_harness_factory(golden_lanes=8,
-                                                    dut_lanes=8),
+        with ShardedExecutor(HarnessFactory("rocket", golden_lanes=8,
+                                            dut_lanes=8),
                              n_workers=2) as sharded_ex:
             got = sharded_ex.run_batch(bodies)
         for ref, out in zip(expected, got):

@@ -49,7 +49,7 @@ from repro.fuzzing.fleet import (
     SliceTimeout,
 )
 from repro.fuzzing.scheduler import RoundRobin
-from repro.soc.harness import harness_factory, rocket_harness_factory
+from repro.soc.harness import HarnessFactory
 
 
 @pytest.fixture(autouse=True)
@@ -78,7 +78,7 @@ def faulty_spec(budget: int = 24, label: str = "bad",
                         fuzzer_config={"body_instructions": 16}, seed=3,
                         batch_size=8, budget_tests=budget,
                         harness=FaultyHarnessFactory(
-                            harness_factory("rocket"), kind=kind,
+                            HarnessFactory("rocket"), kind=kind,
                             label=label))
 
 
@@ -148,7 +148,7 @@ class TestFaultPlan:
 
 class TestChaosWrappers:
     def test_faulty_factory_fails_first_n_builds(self):
-        wrapped = FaultyHarnessFactory(rocket_harness_factory(),
+        wrapped = FaultyHarnessFactory(HarnessFactory("rocket"),
                                        fail_builds=2, label="first-n")
         for _ in range(2):
             with pytest.raises(InjectedFault):
@@ -157,20 +157,20 @@ class TestChaosWrappers:
         assert harness.total_arms > 0
 
     def test_faulty_factory_always_fails_by_default(self):
-        wrapped = FaultyHarnessFactory(rocket_harness_factory(),
+        wrapped = FaultyHarnessFactory(HarnessFactory("rocket"),
                                        label="always")
         for _ in range(3):
             with pytest.raises(InjectedFault):
                 wrapped()
 
     def test_wrappers_are_picklable(self):
-        for wrapped in (FaultyHarnessFactory(rocket_harness_factory()),
-                        ChaosHarnessFactory(rocket_harness_factory(),
+        for wrapped in (FaultyHarnessFactory(HarnessFactory("rocket")),
+                        ChaosHarnessFactory(HarnessFactory("rocket"),
                                             once_dir="/tmp/x")):
             assert pickle.loads(pickle.dumps(wrapped)) == wrapped
 
     def test_chaos_harness_fires_on_nth_test_once(self, tmp_path):
-        chaos = ChaosHarnessFactory(rocket_harness_factory(), fail_test=1,
+        chaos = ChaosHarnessFactory(HarnessFactory("rocket"), fail_test=1,
                                     kind="raise", once_dir=str(tmp_path),
                                     label="nth")
         harness = chaos()
@@ -185,14 +185,14 @@ class TestChaosWrappers:
         fresh.run_differential([0x13])
 
     def test_chaos_harness_without_latch_fires_per_instance(self):
-        chaos = ChaosHarnessFactory(rocket_harness_factory(), fail_test=0,
+        chaos = ChaosHarnessFactory(HarnessFactory("rocket"), fail_test=0,
                                     kind="raise")
         for _ in range(2):
             with pytest.raises(InjectedFault):
                 chaos().run_differential([0x13])
 
     def test_chaos_batch_fires_at_exact_ordinal_mid_chunk(self):
-        chaos = ChaosHarnessFactory(rocket_harness_factory(), fail_test=5,
+        chaos = ChaosHarnessFactory(HarnessFactory("rocket"), fail_test=5,
                                     kind="raise", label="mid-chunk")
         harness = chaos()
         harness.run_differential_batch([[0x13]] * 4)  # ordinals 0-3: clean
@@ -203,7 +203,7 @@ class TestChaosWrappers:
         """Chunks without the fault ordinal must delegate to the inner
         batched engines (dut_lanes/golden_lanes stay vectorised)."""
         chaos = ChaosHarnessFactory(
-            rocket_harness_factory(golden_lanes=4, dut_lanes=4),
+            HarnessFactory("rocket", golden_lanes=4, dut_lanes=4),
             fail_test=4, kind="raise", label="lanes-on")
         harness = chaos()
         calls = []
@@ -216,14 +216,14 @@ class TestChaosWrappers:
         harness._inner.run_differential_batch = spying
         clean = harness.run_differential_batch([[0x13]] * 4)  # 0-3: clean
         assert calls == [4], "fault-free chunk must stay one batched call"
-        scalar = rocket_harness_factory()().run_differential_batch([[0x13]])
+        scalar = HarnessFactory("rocket")().run_differential_batch([[0x13]])
         assert clean[0][0] == scalar[0][0]  # proxy returns real results
         with pytest.raises(InjectedFault):
             harness.run_differential_batch([[0x13]] * 4)  # 4-7: per body
         assert calls == [4], "fault chunk must not reach the batched path"
 
     def test_chaos_batch_ordinals_advance_on_delegated_chunks(self):
-        chaos = ChaosHarnessFactory(rocket_harness_factory(dut_lanes=2),
+        chaos = ChaosHarnessFactory(HarnessFactory("rocket", dut_lanes=2),
                                     fail_test=2, kind="raise",
                                     label="advance")
         harness = chaos()
@@ -499,9 +499,9 @@ class TestShardedExecutorHealing:
     BODIES = [[0x13 + (i << 20)] for i in range(16)]
 
     def test_die_mid_chunk_heals_with_parity(self, tmp_path):
-        serial = ShardedExecutor(rocket_harness_factory(),
+        serial = ShardedExecutor(HarnessFactory("rocket"),
                                  n_workers=2).run_batch(self.BODIES)
-        chaos = ChaosHarnessFactory(rocket_harness_factory(), fail_test=3,
+        chaos = ChaosHarnessFactory(HarnessFactory("rocket"), fail_test=3,
                                     kind="die", once_dir=str(tmp_path),
                                     label="heal-parity")
         executor = ShardedExecutor(chaos, n_workers=2, max_retries=1)
@@ -518,7 +518,7 @@ class TestShardedExecutorHealing:
     def test_max_retries_zero_fails_fast_and_close_is_safe(self, tmp_path):
         from concurrent.futures.process import BrokenProcessPool
 
-        chaos = ChaosHarnessFactory(rocket_harness_factory(), fail_test=3,
+        chaos = ChaosHarnessFactory(HarnessFactory("rocket"), fail_test=3,
                                     kind="die", once_dir=str(tmp_path),
                                     label="fail-fast")
         executor = ShardedExecutor(chaos, n_workers=2, max_retries=0)
@@ -533,12 +533,13 @@ class TestShardedExecutorHealing:
 
         from repro.baselines.thehuzz import TheHuzzGenerator
 
-        chaos = ChaosHarnessFactory(rocket_harness_factory(), fail_test=0,
+        chaos = ChaosHarnessFactory(HarnessFactory("rocket"), fail_test=0,
                                     kind="die", once_dir=str(tmp_path),
                                     label="loop-close")
         loop = FuzzLoop(TheHuzzGenerator(body_instructions=16, seed=5),
-                        chaos, batch_size=8,
-                        executor=ShardedExecutor(n_workers=2, max_retries=0))
+                        batch_size=8,
+                        executor=ShardedExecutor(chaos, n_workers=2,
+                                                 max_retries=0))
         with pytest.raises(BrokenProcessPool):
             loop.run_batch()
         loop.close()
@@ -546,7 +547,7 @@ class TestShardedExecutorHealing:
 
     def test_negative_max_retries_rejected(self):
         with pytest.raises(ValueError, match="max_retries"):
-            ShardedExecutor(rocket_harness_factory(), n_workers=1,
+            ShardedExecutor(HarnessFactory("rocket"), n_workers=1,
                             max_retries=-1)
 
 

@@ -40,11 +40,7 @@ from repro.fuzzing.fleet import (
 from repro.fuzzing.scheduler import BanditScheduler, RoundRobin
 from repro.obs.events import ListSink
 from repro.rtl.bitset import Bitset
-from repro.soc.harness import (
-    harness_factory,
-    make_rocket_harness,
-    rocket_harness_factory,
-)
+from repro.soc.harness import HarnessFactory, make_harness
 
 
 def spec_pair(budget: int = 24) -> list[CampaignSpec]:
@@ -135,7 +131,7 @@ class TestRunSlice:
     def _loop(self):
         return FuzzLoop(
             TheHuzzGenerator(body_instructions=16, seed=5),
-            rocket_harness_factory(),
+            HarnessFactory("rocket"),
             batch_size=8,
         )
 
@@ -151,7 +147,7 @@ class TestRunSlice:
     def test_loop_batch_size_must_be_positive(self, batch_size):
         with pytest.raises(ValueError, match="batch_size"):
             FuzzLoop(TheHuzzGenerator(body_instructions=16, seed=5),
-                     rocket_harness_factory(), batch_size=batch_size)
+                     HarnessFactory("rocket"), batch_size=batch_size)
 
     def test_result_property_tracks_accumulation(self):
         campaign = Campaign(self._loop(), "c")
@@ -237,7 +233,7 @@ class TestFleetVsSerialParity:
         with FleetRunner(specs, n_workers=0) as fleet:
             result = fleet.run()
 
-        harness = make_rocket_harness()
+        harness = make_harness("rocket")
         reference = SetCumulativeCoverage(total_arms=harness.total_arms)
         for spec in specs:
             generator = spec.build_generator()
@@ -345,11 +341,12 @@ class TestMixedArmFleet:
         return [
             CampaignSpec("rocket-arm", fuzzer="thehuzz",
                          fuzzer_config={"body_instructions": 16}, seed=5,
-                         harness="rocket", golden_lanes=lanes,
-                         dut_lanes=lanes, batch_size=8, budget_tests=24),
+                         harness=HarnessFactory("rocket", golden_lanes=lanes,
+                                                dut_lanes=lanes),
+                         batch_size=8, budget_tests=24),
             CampaignSpec("boom-arm", fuzzer="random",
                          fuzzer_config={"body_instructions": 16}, seed=2,
-                         harness="boom", golden_lanes=lanes,
+                         harness=HarnessFactory("boom", golden_lanes=lanes),
                          batch_size=8, budget_tests=24),
         ]
 
@@ -368,6 +365,69 @@ class TestMixedArmFleet:
         for got, ref in zip(vector.campaigns, scalar.campaigns):
             assert got.final_coverage == ref.final_coverage
             assert got.mismatches == ref.mismatches
+
+
+class TestMixedUniverseUnion:
+    """A fleet that mixes Rocket and BOOM arms keeps one union per DUT
+    universe: the bandit reward, the fleet result and the results store
+    all count each arm's coverage against its own design."""
+
+    def _specs(self):
+        return [
+            CampaignSpec("thehuzz-rocket", fuzzer="thehuzz",
+                         fuzzer_config={"body_instructions": 16}, seed=5,
+                         harness="rocket", batch_size=8, budget_tests=16),
+            CampaignSpec("random-boom", fuzzer="random",
+                         fuzzer_config={"body_instructions": 16}, seed=2,
+                         harness="boom", batch_size=8, budget_tests=16),
+        ]
+
+    def test_rewards_result_and_store_count_per_universe(self, tmp_path):
+        from repro.obs.events import TeeSink
+        from repro.obs.store import ResultsStore, StoreSink
+
+        events = ListSink()
+        store = ResultsStore(tmp_path / "store")
+        scheduler = _recording(RoundRobin)()
+        with StoreSink(store) as store_sink, FleetRunner(
+                self._specs(), n_workers=0,
+                sink=TeeSink(events, store_sink)) as runner:
+            result = runner.run_scheduled(scheduler, slice_tests=8)
+
+        # Each arm's coverage after each of its two slices, run alone.
+        slice_bits = []
+        for spec in self._specs():
+            campaign = spec.build_campaign()
+            slice_bits.append([campaign.run_slice(8).final_coverage.to_int()
+                               for _ in range(2)])
+        universes = [c.total_arms for c in result.campaigns]
+        assert len(set(universes)) == 2
+        # One arm per universe: a slice's reward is what it added to its
+        # own arm's coverage, over its own universe size.
+        seen = [0, 0]
+        expected = []
+        for arm in (0, 1, 0, 1):
+            bits = slice_bits[arm][len(expected) // 2]
+            expected.append(("on_slice_complete", arm, 8,
+                             (bits & ~seen[arm]).bit_count()
+                             / universes[arm]))
+            seen[arm] |= bits
+        assert [call for call in scheduler.calls
+                if call[0] == "on_slice_complete"] == expected
+
+        covered = sum(c.final_coverage.to_int().bit_count()
+                      for c in result.campaigns)
+        union = 100.0 * covered / sum(universes)
+        assert result.union_percent == union
+        assert f"union coverage {union:.2f}%" in result.summary()
+        finished = [e for e in events.events if e.kind == "fleet_finished"]
+        assert finished[0].data["union_percent"] == union
+        aggregates = store.aggregate()
+        assert aggregates.universe == sum(universes)
+        assert aggregates.union_percent == union
+        # A single union bitmap still has no meaning across universes.
+        with pytest.raises(ValueError, match="different DUT universes"):
+            result.union_coverage()
 
 
 class TestScheduling:
@@ -779,7 +839,7 @@ class TestDispatchPin:
                            fuzzer_config={"body_instructions": 16}, seed=3,
                            batch_size=8, budget_tests=40,
                            harness=FaultyHarnessFactory(
-                               harness_factory("rocket"), label="pin-bad"))
+                               HarnessFactory("rocket"), label="pin-bad"))
         return [good[0], bad, good[1]]
 
     @staticmethod

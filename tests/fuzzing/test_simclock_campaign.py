@@ -6,7 +6,7 @@ from repro.baselines.random_regression import RandomRegressionGenerator
 from repro.fuzzing.campaign import Campaign, CampaignResult, CurvePoint
 from repro.fuzzing.chatfuzz import FuzzLoop
 from repro.fuzzing.simclock import SimClock
-from repro.soc.harness import make_rocket_harness
+from repro.soc.harness import make_harness
 
 
 class TestSimClock:
@@ -40,7 +40,7 @@ class TestCampaign:
     def loop(self):
         return FuzzLoop(
             RandomRegressionGenerator(body_instructions=8, seed=1),
-            make_rocket_harness(),
+            make_harness("rocket"),
             batch_size=8,
         )
 
@@ -74,7 +74,7 @@ class TestCampaign:
         def fresh_loop():
             return FuzzLoop(
                 RandomRegressionGenerator(body_instructions=8, seed=1),
-                make_rocket_harness(),
+                make_harness("rocket"),
                 batch_size=8,
             )
 
@@ -119,7 +119,7 @@ class TestFuzzLoopFeedback:
                 calls.append((len(inputs), len(coverages), len(scores),
                               len(reports)))
 
-        loop = FuzzLoop(Spy(), make_rocket_harness(), batch_size=4)
+        loop = FuzzLoop(Spy(), make_harness("rocket"), batch_size=4)
         loop.run_batch()
         assert calls == [(4, 4, 4, 4)]
 
@@ -130,7 +130,7 @@ class TestFuzzLoopFeedback:
             def generate_batch(self, n):
                 return [[encode("mul", rd=5, rs1=10, rs2=11)]] * n
 
-        loop = FuzzLoop(MulDiv(), make_rocket_harness(), batch_size=2)
+        loop = FuzzLoop(MulDiv(), make_harness("rocket"), batch_size=2)
         outcome = loop.run_batch()
         assert outcome.mismatch_count > 0  # Bug2 fires on every mul
         assert loop.detector.unique_count >= 1

@@ -9,8 +9,7 @@ from repro.isa.spec import DATA_BASE, DRAM_BASE
 from repro.soc.harness import (
     TERMINATOR,
     build_program,
-    make_boom_harness,
-    make_rocket_harness,
+    make_harness,
     preamble_words,
 )
 
@@ -100,7 +99,7 @@ class TestPreambleEffects:
 
 class TestDifferentialRun:
     def test_returns_trace_trace_report(self):
-        harness = make_rocket_harness()
+        harness = make_harness("rocket")
         dut, gold, report = harness.run_differential(
             [encode("addi", rd=10, rs1=0, imm=5)]
         )
@@ -110,7 +109,7 @@ class TestDifferentialRun:
         assert report.cycles > 0
 
     def test_coverage_resets_between_tests(self):
-        harness = make_rocket_harness()
+        harness = make_harness("rocket")
         _, first = harness.run_dut([encode("mul", rd=5, rs1=10, rs2=11)])
         _, second = harness.run_dut([encode("addi", rd=5, rs1=0, imm=1)])
         muldiv_arm = None
@@ -125,27 +124,26 @@ class TestBatchedLanes:
     BODIES = [[encode("addi", rd=10, rs1=0, imm=i)] for i in range(8)]
 
     def test_dut_lanes_batch_matches_scalar(self):
-        scalar = make_rocket_harness().run_differential_batch(self.BODIES)
-        lanes = make_rocket_harness(
-            golden_lanes=4, dut_lanes=4).run_differential_batch(self.BODIES)
+        scalar = make_harness("rocket").run_differential_batch(self.BODIES)
+        lanes = make_harness("rocket", golden_lanes=4,
+                             dut_lanes=4).run_differential_batch(self.BODIES)
         for (dt0, gt0, r0), (dt1, gt1, r1) in zip(scalar, lanes):
             assert dt1.entries == dt0.entries
             assert gt1.entries == gt0.entries
             assert r1.hits == r0.hits and r1.cycles == r0.cycles
 
     def test_run_dut_batch_matches_run_dut(self):
-        harness = make_rocket_harness(dut_lanes=4)
+        harness = make_harness("rocket", dut_lanes=4)
         batch = harness.run_dut_batch(self.BODIES)
         for body, (trace, report) in zip(self.BODIES, batch):
-            ref_trace, ref_report = make_rocket_harness().run_dut(body)
+            ref_trace, ref_report = make_harness("rocket").run_dut(body)
             assert trace.entries == ref_trace.entries
             assert report.hits == ref_report.hits
 
     def test_kind_without_batch_engine_rejects_dut_lanes(self, monkeypatch):
         """A registered kind that declares no batch engine (BOOM, or a
         throwaway scalar-only kind) must keep the loud error on every entry
-        point — at factory/spec-build time and at harness-build time."""
-        from repro.fuzzing.fleet import CampaignSpec
+        point — at factory-build time and at harness-build time."""
         from repro.soc import harness as harness_mod
         from repro.soc.rocket import RocketParams
 
@@ -156,24 +154,21 @@ class TestBatchedLanes:
             harness_mod.ENGINE_REGISTRY, "scalar-only",
             lambda: harness_mod.EngineSpec(ScalarOnlyCore, RocketParams, None))
         # Scalar use of the kinds is fine, golden lanes included...
-        harness_mod.harness_factory("scalar-only")
-        harness_mod.boom_harness_factory(golden_lanes=4)()
+        harness_mod.HarnessFactory("scalar-only")
+        harness_mod.HarnessFactory("boom", golden_lanes=4)()
         # ...but any dut_lanes request fails loudly on every path.
         rejected = [
-            lambda: harness_mod.harness_factory("scalar-only", dut_lanes=4),
+            lambda: harness_mod.HarnessFactory("scalar-only", dut_lanes=4),
             lambda: harness_mod.DutHarness(ScalarOnlyCore(), dut_lanes=4),
-            lambda: harness_mod.make_harness("boom", dut_lanes=4),
-            lambda: make_boom_harness(dut_lanes=4),
-            lambda: harness_mod.harness_factory("boom", dut_lanes=4),
-            lambda: harness_mod.boom_harness_factory(dut_lanes=4),
-            lambda: CampaignSpec("boom-arm", harness="boom", dut_lanes=4),
+            lambda: make_harness("boom", dut_lanes=4),
+            lambda: harness_mod.HarnessFactory("boom", dut_lanes=4),
         ]
         for build in rejected:
             with pytest.raises(ValueError, match="batch engine"):
                 build()
 
     def test_unknown_kind_rejected(self):
-        from repro.soc.harness import harness_factory
+        from repro.soc.harness import HarnessFactory
 
         with pytest.raises(ValueError, match="unknown harness kind"):
-            harness_factory("cva6")
+            HarnessFactory("cva6")

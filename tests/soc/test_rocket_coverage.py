@@ -6,12 +6,12 @@ import pytest
 
 from repro.isa.assembler import Assembler
 from repro.isa.spec import DRAM_BASE
-from repro.soc.harness import make_rocket_harness, preamble_words
+from repro.soc.harness import make_harness, preamble_words
 
 
 @pytest.fixture()
 def harness():
-    return make_rocket_harness()
+    return make_harness("rocket")
 
 
 def arm_names(harness, body_text):

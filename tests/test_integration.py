@@ -10,7 +10,7 @@ from repro.fuzzing.chatfuzz import FuzzLoop
 from repro.ml.lm_training import LMTrainConfig
 from repro.ml.pipeline import ChatFuzzPipeline, PipelineConfig
 from repro.ml.transformer import GPT2Config
-from repro.soc.harness import make_rocket_harness
+from repro.soc.harness import make_harness
 
 
 @pytest.fixture(scope="module")
@@ -26,14 +26,14 @@ def trained_pipeline():
         response_instructions=20,
     )
     pipeline = ChatFuzzPipeline(config)
-    pipeline.run_all(make_rocket_harness())
+    pipeline.run_all(make_harness("rocket"))
     return pipeline
 
 
 class TestEndToEnd:
     def test_chatfuzz_campaign_finds_bugs(self, trained_pipeline):
         loop = FuzzLoop(trained_pipeline.make_generator(seed=31),
-                        make_rocket_harness(), batch_size=16)
+                        make_harness("rocket"), batch_size=16)
         result = Campaign(loop, "chatfuzz-mini").run_tests(160)
         assert result.raw_mismatches > 0
         assert result.unique_mismatches >= 3
@@ -46,16 +46,16 @@ class TestEndToEnd:
     def test_chatfuzz_beats_thehuzz_at_equal_budget(self, trained_pipeline):
         budget = 160
         chat_loop = FuzzLoop(trained_pipeline.make_generator(seed=33),
-                             make_rocket_harness(), batch_size=16)
+                             make_harness("rocket"), batch_size=16)
         chat = Campaign(chat_loop, "chatfuzz").run_tests(budget)
         huzz_loop = FuzzLoop(TheHuzzGenerator(body_instructions=24, seed=5),
-                             make_rocket_harness(), batch_size=16)
+                             make_harness("rocket"), batch_size=16)
         huzz = Campaign(huzz_loop, "thehuzz").run_tests(budget)
         assert chat.final_coverage_percent > huzz.final_coverage_percent
 
     def test_clock_maps_tests_to_paper_time_axis(self, trained_pipeline):
         loop = FuzzLoop(trained_pipeline.make_generator(seed=35),
-                        make_rocket_harness(), batch_size=16)
+                        make_harness("rocket"), batch_size=16)
         result = Campaign(loop, "timed").run_tests(32)
         expected_hours = (2360.0 + 32 * 0.4223) / 3600.0
         assert result.sim_hours == pytest.approx(expected_hours, rel=1e-6)
