@@ -1,16 +1,15 @@
-"""A minimal cycle-driven RTL simulation framework with condition coverage.
+"""Condition coverage for the cycle-level core models.
 
-This package replaces Synopsys VCS in the paper's stack (see DESIGN.md §1).
-It provides:
+This package stands in for Synopsys VCS in the paper's stack: the fuzzing
+loop scores every input by the condition coverage the core models
+(:mod:`repro.soc`) record here.  It provides:
 
 - :class:`~repro.rtl.coverage.ConditionCoverage` — declare-before-use
   condition cover points; each condition contributes a *true arm* and a
   *false arm*, matching VCS condition-coverage accounting.
 - :class:`~repro.rtl.module.Module` — hierarchical design units whose
-  ``cond()`` calls are auto-prefixed with the instance path.
-- :class:`~repro.rtl.signal.Reg` — two-phase clocked state.
-- :class:`~repro.rtl.simulator.ClockDomain` — drives ``tick()`` across the
-  module tree and counts cycles.
+  conditions are prefixed with the instance path and whose arm pairs are
+  prebound in ``arms`` for one-mask-per-cycle recording.
 - :class:`~repro.rtl.report.CoverageReport` — the per-test coverage report
   consumed by the Coverage Calculator (:mod:`repro.coverage`).
 - :class:`~repro.rtl.bitset.Bitset` — the packed, set-compatible bitmap the
@@ -21,8 +20,5 @@ from repro.rtl.bitset import Bitset
 from repro.rtl.coverage import ConditionCoverage
 from repro.rtl.module import Module
 from repro.rtl.report import CoverageReport
-from repro.rtl.signal import Reg
-from repro.rtl.simulator import ClockDomain
 
-__all__ = ["Bitset", "ClockDomain", "ConditionCoverage", "CoverageReport",
-           "Module", "Reg"]
+__all__ = ["Bitset", "ConditionCoverage", "CoverageReport", "Module"]

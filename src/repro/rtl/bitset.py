@@ -13,7 +13,7 @@ single Python ``int`` — an arbitrary-precision bitmap whose bitwise ops,
 popcount (``int.bit_count``) and (de)serialisation all run limb-at-a-time in
 C.  For a few hundred arms this beats both ``numpy`` scalar indexing (per-op
 dispatch overhead) and ``bytearray`` read-modify-write on the record path,
-while still exposing the packed bytes (:meth:`to_bytes`, :meth:`words`).
+while still exposing the packed bytes (:meth:`to_bytes`).
 
 The API is deliberately set-compatible — ``in``, ``len``, iteration,
 equality against ``set``/``frozenset``, ``&``/``|``/``-`` (including
@@ -67,10 +67,9 @@ class Bitset:
 
     @classmethod
     def from_words(cls, words: Iterable[int], nbits: int = 0) -> "Bitset":
-        """Build from 64-bit words in ascending order — the inverse of
-        :meth:`words`, so vectorised producers (the batched engines'
-        per-lane bitmap rows) collapse to a report without a python-level
-        bit loop."""
+        """Build from 64-bit words in ascending order, so vectorised
+        producers (the batched engines' per-lane bitmap rows) collapse to a
+        report without a python-level bit loop."""
         bits = 0
         shift = 0
         for word in words:
@@ -89,14 +88,6 @@ class Bitset:
         if length is None:
             length = (self._nbits + 7) // 8
         return self._bits.to_bytes(length, "little")
-
-    def words(self, n_words: int | None = None):
-        """The bitmap as a ``numpy`` uint64 array (for vectorised consumers)."""
-        import numpy as np
-
-        if n_words is None:
-            n_words = (self._nbits + 63) // 64
-        return np.frombuffer(self.to_bytes(8 * n_words), dtype="<u8")
 
     @property
     def nbits(self) -> int:
@@ -136,9 +127,6 @@ class Bitset:
 
     def isdisjoint(self, other) -> bool:
         return self._bits & _as_mask(other) == 0
-
-    def to_frozenset(self) -> frozenset[int]:
-        return frozenset(self)
 
     # -- bitwise algebra (results keep the wider universe) ----------------------
 

@@ -8,26 +8,26 @@ is a static property of the elaborated design, never of the stimulus, so
 percentages are comparable across runs (and fuzzers).
 
 Conditions are declared once (at module construction = "elaboration") and
-recorded by integer handle on the hot path.
+recorded on the hot path as packed arm masks.
 
 Recording is bitset-based: the per-run hit state is one packed int bitmap
 (bit ``arm`` set <=> arm observed), kept alongside a per-arm bit table that
-is filled in during elaboration and sealed at :meth:`freeze`.  A scalar
-:meth:`record` is a single table lookup + OR; correlated condition groups
-whose outcomes are a pure function of one key (the decode conditions of an
-instruction word, the cause comparators of a trap, an idle interrupt poll)
-should be folded with :meth:`record_mask` — one OR retires the whole group,
-which is where the engine's throughput win over per-arm ``set.add`` comes
-from (see ``benchmarks/test_perf_coverage.py``).
+is filled in during elaboration and sealed at :meth:`freeze`.  Both core
+models record one mask per cycle.  At elaboration every
+:class:`~repro.rtl.module.Module` prebinds each condition's
+``(false_bit, true_bit)`` pair in its ``arms`` table; at run time the core
+indexes each pair with the condition's value, ORs the bit (together with
+memoized groups whose outcome is a pure function of one key: the decode
+conditions of an instruction word, the cause comparators of a trap) into
+one local int, and ends the cycle with a single :meth:`record_mask`.
+``RocketCore.step_cycle`` and ``BoomCore.run`` record each cycle this way,
+and the caches, branch predictor and tracer fold each call's group the
+same way.  One OR per group instead of one call per arm is where the
+engine's throughput comes from (see ``benchmarks/test_perf_coverage.py``).
 
-Per-cycle paths go further and make no per-condition call at all.  At
-elaboration they prebind each dynamic condition's ``(false_bit, true_bit)``
-pair (:meth:`arm_bit` of both values); at run time they index the pair with
-the condition's value, OR the result — together with any precomputed
-static group — into one local int, and end the cycle with a single
-:meth:`record_mask`.  ``RocketCore.step_cycle`` records a whole cycle this
-way, and the caches, branch predictor and tracer fold each call's group
-the same way.
+:meth:`record` is the one-observation primitive (a table lookup and an
+OR).  No core calls it; the tests and the coverage micro-benchmark drive
+the database through it.
 """
 
 from __future__ import annotations
@@ -98,9 +98,9 @@ class ConditionCoverage:
     def record_mask(self, mask: int) -> None:
         """Fold a precomputed group of arm observations in one OR.
 
-        ``mask`` is an int bitmap of arm indices (build it with
-        :meth:`arm_bit` /
-        :meth:`~repro.rtl.module.Module.arm_bit` at group-memoization time).
+        ``mask`` is an int bitmap of arm indices (build it from
+        :meth:`arm_bit` or a module's prebound
+        :attr:`~repro.rtl.module.Module.arms` pairs).
         This is the vectorised record path: a whole correlated condition
         group costs one call instead of one per arm.
         """

@@ -4,7 +4,15 @@ Models the microarchitectural skeleton that matters for condition coverage:
 fetch buffer, return-address stack, register renaming (free list / WAW
 remap), issue-queue and ROB occupancy, a load/store queue with
 store-to-load forwarding, plus caches and a branch predictor.  Instruction
-semantics come from the golden executor, as for Rocket (DESIGN.md §5).
+semantics come from the golden executor, as for Rocket, so ISA correctness
+lives in one place.
+
+Coverage is recorded as in ``RocketCore.step_cycle``: each instruction ORs
+the arm of every condition it evaluates, taken from the prebound
+``(false_bit, true_bit)`` pairs in :attr:`Module.arms` or from the memoized
+decode group of its word, into one local mask, and records that mask once,
+at retire or at trap entry (where the trap-entry group of its cause joins
+it).  The caches and the branch predictor record their own groups.
 
 No bugs are injected here: the paper's bug findings are on RocketCore; BOOM
 carries the fast-saturating coverage claim (97.02% in 49 minutes).
@@ -36,6 +44,14 @@ from repro.soc.caches import SetAssocCache
 from repro.soc.predictor import BranchPredictor
 
 _CAUSE_CONDITIONS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 11)
+
+#: Instruction classes with a ``decode.is_<kind>`` condition, each read from
+#: the spec's ``is_<kind>`` flag.
+_DECODE_CLASSES = ("load", "store", "branch", "jump", "amo", "muldiv", "csr",
+                   "system", "fence")
+
+#: Bound of the per-word decode-mask table: the decoder's cache size.
+DECODE_TABLE_CAP = 65536
 
 #: Debug-module conditions: present in the netlist, never exercised by
 #: instruction fuzzing.  These are BOOM's small unreachable residue (~2.5%
@@ -76,15 +92,7 @@ class BoomCore(Module):
             "frontend.ras_overflow",
             # decode / rename
             "decode.illegal",
-            "decode.is_load",
-            "decode.is_store",
-            "decode.is_branch",
-            "decode.is_jump",
-            "decode.is_amo",
-            "decode.is_muldiv",
-            "decode.is_csr",
-            "decode.is_system",
-            "decode.is_fence",
+            *[f"decode.is_{kind}" for kind in _DECODE_CLASSES],
             "rename.stall_freelist",
             "rename.waw_remap",
             "rename.rd_x0",
@@ -129,15 +137,19 @@ class BoomCore(Module):
 
         # Memoized group masks (see RocketCore): the decode condition group
         # is a pure function of the instruction word, the trap-comparator
-        # group of the cause — each folds to one record_mask per evaluation.
-        self._decode_mask_cache: dict[int, int] = {}
-        self._trap_mask_cache: dict[int, int] = {}
+        # group of the cause.
+        #: word -> decode-group mask, bounded by DECODE_TABLE_CAP.
+        self._decode_masks: dict[int, int] = {}
+        #: cause -> trap-entry-group mask.
+        self._trap_masks: dict[int, int] = {}
 
     # ------------------------------------------------------------------ run --
 
     def run(self, program: list[int], base: int = DRAM_BASE) -> tuple[CommitTrace, CoverageReport]:
         """Simulate one test program; returns (commit trace, coverage report)."""
         p = self.params
+        arms = self.arms
+        decode_masks = self._decode_masks
         self.reset()
         self.cov.begin_run()
 
@@ -189,99 +201,84 @@ class BoomCore(Module):
 
             # ---------------- fetch -----------------------------------------
             if not memory.is_mapped(pc, 4):
-                self.cond("frontend.fetch_fault", True)
                 cycles += p.mispredict_penalty
                 traps_taken += 1
-                self._trap_conditions(EXC_INSTR_ACCESS_FAULT)
-                trace.append(TraceEntry(pc=pc, instr=0, priv=state.priv,
-                                        trap_cause=EXC_INSTR_ACCESS_FAULT,
-                                        trap_tval=pc))
-                state.reservation = None
-                state.pc = state.csr.enter_trap(
-                    EXC_INSTR_ACCESS_FAULT, pc, pc, state.priv)
-                state.priv = PRV_M
-                state.csr.tick()
-                if traps_taken >= p.max_traps:
-                    trace.stop_reason = "max_traps"
+                if self._trap(trace, state, arms["frontend.fetch_fault"][True],
+                              pc, 0, EXC_INSTR_ACCESS_FAULT, pc, state.priv,
+                              traps_taken):
                     break
                 continue
-            self.cond("frontend.fetch_fault", False)
-            if self.icache.lookup(pc) is None:
+            fb_empty = self.icache.lookup(pc) is None
+            if fb_empty:
                 self.icache.refill(pc, memory.read_bytes)
                 cycles += self.icache.miss_penalty
-                self.cond("frontend.fb_empty", True)
-            else:
-                self.cond("frontend.fb_empty", False)
-            self.cond("frontend.fb_full", rob_occupancy >= p.rob_entries - 2)
+            mask = (arms["frontend.fetch_fault"][False]
+                    | arms["frontend.fb_empty"][fb_empty]
+                    | arms["frontend.fb_full"][rob_occupancy
+                                               >= p.rob_entries - 2])
             word = memory.load(pc, 4)  # BOOM's I$ snoops stores: always fresh
 
             # ---------------- decode / rename --------------------------------
             instr = decode(word)
-            self._decode_conditions(instr, word)
+            mask |= decode_masks.get(word) or self._decode_mask(word, instr)
             if instr is None:
                 cycles += p.mispredict_penalty
                 traps_taken += 1
-                self._trap_conditions(EXC_ILLEGAL_INSTRUCTION)
-                trace.append(TraceEntry(pc=pc, instr=word, priv=state.priv,
-                                        trap_cause=EXC_ILLEGAL_INSTRUCTION,
-                                        trap_tval=word))
-                state.reservation = None
-                state.pc = state.csr.enter_trap(
-                    EXC_ILLEGAL_INSTRUCTION, pc, word, state.priv)
-                state.priv = PRV_M
-                state.csr.tick()
-                if traps_taken >= p.max_traps:
-                    trace.stop_reason = "max_traps"
+                if self._trap(trace, state, mask, pc, word,
+                              EXC_ILLEGAL_INSTRUCTION, word, state.priv,
+                              traps_taken):
                     break
                 continue
             spec = instr.spec
             m = spec.mnemonic
 
             if spec.writes_rd:
-                self.cond("rename.rd_x0", instr.rd == 0)
+                mask |= arms["rename.rd_x0"][instr.rd == 0]
                 if instr.rd != 0:
-                    self.cond("rename.waw_remap", instr.rd in renamed)
+                    mask |= arms["rename.waw_remap"][instr.rd in renamed]
                     renamed.add(instr.rd)
                     busy_phys += 1
-            free = self.params.phys_regs - 32 - busy_phys
-            self.cond("rename.freelist_low", free <= 4)
-            self.cond("rename.stall_freelist", free <= 0)
+            free = p.phys_regs - 32 - busy_phys
+            mask |= (arms["rename.freelist_low"][free <= 4]
+                     | arms["rename.stall_freelist"][free <= 0])
             if free <= 0:
                 cycles += 2
                 busy_phys = max(0, busy_phys - 4)
 
             # ---------------- issue ------------------------------------------
             iq_occupancy += 1
-            self.cond("issue.iq_full", iq_occupancy >= p.issue_queue_entries)
-            self.cond("issue.iq_empty", iq_occupancy <= 1)
-            if iq_occupancy >= p.issue_queue_entries:
+            iq_full = iq_occupancy >= p.issue_queue_entries
+            mask |= (arms["issue.iq_full"][iq_full]
+                     | arms["issue.iq_empty"][iq_occupancy <= 1])
+            if iq_full:
                 cycles += 1
                 iq_occupancy -= 2
             rs1_dep = spec.reads_rs1 and instr.rs1 != 0 and instr.rs1 == prev_rd
             rs2_dep = spec.reads_rs2 and instr.rs2 != 0 and instr.rs2 == prev_rd
-            self.cond("issue.rs1_ready", not rs1_dep)
-            self.cond("issue.rs2_ready", not rs2_dep)
-            self.cond("issue.wakeup_bypass", rs1_dep or rs2_dep)
+            mask |= (arms["issue.rs1_ready"][not rs1_dep]
+                     | arms["issue.rs2_ready"][not rs2_dep]
+                     | arms["issue.wakeup_bypass"][rs1_dep or rs2_dep])
 
             rob_occupancy += 1
-            self.cond("rob.full", rob_occupancy >= p.rob_entries)
-            self.cond("rob.empty", rob_occupancy <= 1)
-            self.cond("rob.commit_two", retired_since_drain == 0)
-            if rob_occupancy >= p.rob_entries:
+            rob_full = rob_occupancy >= p.rob_entries
+            mask |= (arms["rob.full"][rob_full]
+                     | arms["rob.empty"][rob_occupancy <= 1]
+                     | arms["rob.commit_two"][retired_since_drain == 0])
+            if rob_full:
                 cycles += 1
                 rob_occupancy -= 2
 
             # RAS: calls push, returns pop.
             is_call = spec.is_jump and instr.rd == 1
             is_ret = m == "jalr" and instr.rd == 0 and instr.rs1 == 1
-            self.cond("frontend.ras_push", is_call)
-            self.cond("frontend.ras_pop", is_ret)
+            mask |= (arms["frontend.ras_push"][is_call]
+                     | arms["frontend.ras_pop"][is_ret])
             if is_call:
-                self.cond("frontend.ras_overflow", len(ras) >= p.ras_entries)
+                mask |= arms["frontend.ras_overflow"][len(ras) >= p.ras_entries]
                 ras.append((pc + 4) & WORD_MASK)
                 del ras[: max(0, len(ras) - p.ras_entries)]
             if is_ret:
-                self.cond("frontend.ras_underflow", not ras)
+                mask |= arms["frontend.ras_underflow"][not ras]
                 if ras:
                     ras.pop()
 
@@ -290,79 +287,72 @@ class BoomCore(Module):
             if spec.is_branch:
                 predicted = self.predictor.predict(pc)
             prv_before = state.priv
-            self.cond("csr.in_user_mode", state.priv == PRV_U)
+            mask |= arms["csr.in_user_mode"][prv_before == PRV_U]
             try:
                 result = execute(state, memory, instr, pc)
             except Trap as trap:
                 cycles += p.mispredict_penalty
                 traps_taken += 1
-                self._trap_conditions(trap.cause)
-                self.cond("rob.exception_at_head", True)
-                self.cond("rob.flush", True)
+                mask |= (arms["rob.exception_at_head"][True]
+                         | arms["rob.flush"][True])
                 if spec.is_memory:
-                    self.cond("lsu.misaligned", trap.cause in (4, 6))
-                    self.cond("lsu.access_fault", trap.cause in (5, 7))
-                trace.append(TraceEntry(pc=pc, instr=word, priv=prv_before,
-                                        trap_cause=trap.cause,
-                                        trap_tval=trap.tval))
-                state.reservation = None
+                    mask |= (arms["lsu.misaligned"][trap.cause in (4, 6)]
+                             | arms["lsu.access_fault"][trap.cause in (5, 7)])
                 rob_occupancy = 0
                 iq_occupancy = 0
-                state.pc = state.csr.enter_trap(trap.cause, pc, trap.tval, prv_before)
-                state.priv = PRV_M
-                state.csr.tick()
                 prev_rd = None
-                if traps_taken >= p.max_traps:
-                    trace.stop_reason = "max_traps"
+                if self._trap(trace, state, mask, pc, word, trap.cause,
+                              trap.tval, prv_before, traps_taken):
                     break
                 continue
-            self.cond("csr.trap_taken", False)
-            self.cond("rob.exception_at_head", False)
+            mask |= (arms["csr.trap_taken"][False]
+                     | arms["rob.exception_at_head"][False])
 
             if spec.is_branch:
                 taken = result.next_pc != (pc + 4) & WORD_MASK
-                self.cond("execute.br_taken", taken)
-                self.cond("execute.br_backward", instr.imm < 0)
                 self.predictor.update(pc, taken, predicted)
                 mispredicted = taken != predicted
-                self.cond("rob.flush", mispredicted)
+                mask |= (arms["execute.br_taken"][taken]
+                         | arms["execute.br_backward"][instr.imm < 0]
+                         | arms["rob.flush"][mispredicted])
                 if mispredicted:
                     cycles += p.mispredict_penalty
                     rob_occupancy = 0
                     iq_occupancy = 0
             if spec.is_muldiv:
-                divlike = m.startswith(("div", "rem"))
-                if divlike:
-                    self.cond("execute.div_by_zero",
-                              state.read_reg(instr.rs2) == 0)
+                if m.startswith(("div", "rem")):
+                    mask |= arms["execute.div_by_zero"][
+                        state.read_reg(instr.rs2) == 0]
                     cycles += p.div_latency
                 else:
-                    self.cond("execute.mul_high", m in ("mulh", "mulhsu", "mulhu"))
+                    mask |= arms["execute.mul_high"][
+                        m in ("mulh", "mulhsu", "mulhu")]
                     cycles += p.mul_latency
-            if result.rd is not None and result.rd != 0:
-                self.cond("execute.result_zero", result.rd_value == 0)
+            if result.rd:
+                mask |= arms["execute.result_zero"][result.rd_value == 0]
 
             # ---------------- LSU ---------------------------------------------
             if result.mem is not None:
                 addr = result.mem.addr
                 if result.mem.is_store:
                     stq += 1
-                    self.cond("lsu.stq_full", stq >= p.stq_entries)
+                    mask |= arms["lsu.stq_full"][stq >= p.stq_entries]
                     if stq >= p.stq_entries:
                         cycles += 1
                         stq -= 1
                 else:
                     ldq += 1
-                    self.cond("lsu.ldq_full", ldq >= p.ldq_entries)
-                    self.cond("lsu.stl_forward", stq > 0 and not spec.is_amo)
+                    mask |= (arms["lsu.ldq_full"][ldq >= p.ldq_entries]
+                             | arms["lsu.stl_forward"][stq > 0
+                                                       and not spec.is_amo])
                     if ldq >= p.ldq_entries:
                         cycles += 1
                         ldq -= 1
-                self.cond("lsu.misaligned", False)
-                self.cond("lsu.access_fault", False)
-                self.cond("lsu.reservation_set", m.startswith("lr."))
+                mask |= (arms["lsu.misaligned"][False]
+                         | arms["lsu.access_fault"][False]
+                         | arms["lsu.reservation_set"][m.startswith("lr.")])
                 if m.startswith("sc."):
-                    self.cond("lsu.sc_success", result.rd_value == 0)
+                    mask |= arms["lsu.sc_success"][result.rd_value == 0]
                 if self.dcache.lookup(addr) is None:
                     self.dcache.refill(addr, memory.read_bytes)
                     cycles += self.dcache.miss_penalty
@@ -370,9 +360,11 @@ class BoomCore(Module):
                     data = result.mem.data.to_bytes(result.mem.size, "little")
                     self.dcache.update_stored_line(addr, data)
 
-            self.cond("csr.write", result.csr_write is not None)
-            self.cond("csr.mret", m == "mret")
-            self.cond("csr.wfi", result.halt)
+            self.cov.record_mask(
+                mask
+                | arms["csr.write"][result.csr_write is not None]
+                | arms["csr.mret"][m == "mret"]
+                | arms["csr.wfi"][result.halt])
 
             # ---------------- retire -------------------------------------------
             if not in_handler:
@@ -395,37 +387,48 @@ class BoomCore(Module):
         trace.cycles = cycles
         return trace, CoverageReport.from_coverage(self.cov, cycles)
 
-    def _decode_conditions(self, instr, word: int) -> None:
-        """Record the decode-stage condition group — one OR per instruction."""
-        self.record_keyed_group(self._decode_mask_cache, word,
-                                self._decode_mask, instr)
+    def _trap(self, trace: CommitTrace, state: ArchState, mask: int, pc: int,
+              instr_word: int, cause: int, tval: int, priv: int,
+              traps_taken: int) -> bool:
+        """Take a synchronous trap at ``pc``: record the instruction's arms
+        with the trap-entry group, log the trap and enter the handler.
+        Returns True once ``traps_taken`` spends the run's trap budget."""
+        self.cov.record_mask(
+            mask | (self._trap_masks.get(cause) or self._trap_mask(cause)))
+        trace.append(TraceEntry(pc=pc, instr=instr_word, priv=priv,
+                                trap_cause=cause, trap_tval=tval))
+        state.reservation = None
+        state.pc = state.csr.enter_trap(cause, pc, tval, priv)
+        state.priv = PRV_M
+        state.csr.tick()
+        if traps_taken >= self.params.max_traps:
+            trace.stop_reason = "max_traps"
+            return True
+        return False
 
-    def _decode_mask(self, instr) -> int:
-        arm = self.arm_bit
-        mask = arm("decode.illegal", instr is None)
-        if instr is None:
-            # The illegal path traps before reaching the class conditions,
-            # which therefore go unevaluated — exactly the old behaviour.
-            return mask
-        spec = instr.spec
-        mask |= arm("decode.is_load", spec.is_load)
-        mask |= arm("decode.is_store", spec.is_store)
-        mask |= arm("decode.is_branch", spec.is_branch)
-        mask |= arm("decode.is_jump", spec.is_jump)
-        mask |= arm("decode.is_amo", spec.is_amo)
-        mask |= arm("decode.is_muldiv", spec.is_muldiv)
-        mask |= arm("decode.is_csr", spec.is_csr)
-        mask |= arm("decode.is_system", spec.is_system)
-        mask |= arm("decode.is_fence", spec.is_fence)
+    def _decode_mask(self, word: int, instr) -> int:
+        """Build and memoize the decode group's arms for ``word``.
+
+        The table is cleared at ``DECODE_TABLE_CAP`` entries and rebuilt
+        from the hot working set, matching the decoder's bounded cache.
+        """
+        arms = self.arms
+        mask = arms["decode.illegal"][instr is None]
+        # The illegal path traps before reaching the class conditions,
+        # which therefore go unevaluated.
+        if instr is not None:
+            for kind in _DECODE_CLASSES:
+                mask |= arms[f"decode.is_{kind}"][getattr(instr.spec,
+                                                          f"is_{kind}")]
+        if len(self._decode_masks) >= DECODE_TABLE_CAP:
+            self._decode_masks.clear()
+        self._decode_masks[word] = mask
         return mask
 
-    def _trap_conditions(self, cause: int) -> None:
-        """Record the trap-entry condition group — mask memoized per cause."""
-        self.record_keyed_group(self._trap_mask_cache, cause,
-                                self._trap_mask, cause)
-
     def _trap_mask(self, cause: int) -> int:
-        mask = self.arm_bit("csr.trap_taken", True)
+        """Build and memoize the trap-entry group's arms for ``cause``."""
+        mask = self.arms["csr.trap_taken"][True]
         for c in _CAUSE_CONDITIONS:
-            mask |= self.arm_bit(f"csr.cause_is_{c}", cause == c)
+            mask |= self.arms[f"csr.cause_is_{c}"][cause == c]
+        self._trap_masks[cause] = mask
         return mask

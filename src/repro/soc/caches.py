@@ -88,8 +88,7 @@ class SetAssocCache(Module):
         # Each probe's condition group folds into one record_mask: the
         # outcome masks are prebuilt per hit way (per-way conditions exist
         # for the first two ways only) and for a miss, and the refill and
-        # dirty-marking conditions index prebound (false_bit, true_bit)
-        # pairs.
+        # dirty-marking conditions index their pairs in self.arms.
         arm = self.arm_bit
         hit = arm("hit", True) | arm("refill", False)
         self._hit_masks = tuple(
@@ -98,11 +97,6 @@ class SetAssocCache(Module):
             for way in range(ways)
         )
         self._miss_mask = arm("hit", False) | arm("refill", True)
-        pairs = ("set_conflict", "evict_valid")
-        if writable:
-            pairs += ("evict_dirty", "mark_dirty")
-        self._pairs = {name: (arm(name, False), arm(name, True))
-                       for name in pairs}
 
     # -- geometry helpers ------------------------------------------------------
 
@@ -136,11 +130,11 @@ class SetAssocCache(Module):
         index, tag, _ = self._split(addr)
         ways = self.lines[index]
         victim = min(ways, key=_victim_order)
-        pairs = self._pairs
-        mask = (pairs["set_conflict"][all(line.valid for line in ways)]
-                | pairs["evict_valid"][victim.valid])
+        arms = self.arms
+        mask = (arms["set_conflict"][all(line.valid for line in ways)]
+                | arms["evict_valid"][victim.valid])
         if self.writable:
-            mask |= pairs["evict_dirty"][victim.valid and victim.dirty]
+            mask |= arms["evict_dirty"][victim.valid and victim.dirty]
         self.cov.record_mask(mask)
         if victim.valid:
             self.last_evicted = self._line_base(index, victim.tag) // self.line_bytes
@@ -168,7 +162,7 @@ class SetAssocCache(Module):
             line.data = bytes(buf)
             # The condition is the clean->dirty *transition* (re-dirtying an
             # already-dirty line evaluates it false).
-            self.cov.record_mask(self._pairs["mark_dirty"][not line.dirty])
+            self.cov.record_mask(self.arms["mark_dirty"][not line.dirty])
             line.dirty = True
 
     def _peek(self, addr: int) -> CacheLine | None:

@@ -31,7 +31,7 @@ class BranchPredictor(Module):
 
         # predict() and update() each fold their condition group into one
         # record_mask: predict's outcomes are prebuilt masks, and update's
-        # conditions index prebound (false_bit, true_bit) pairs.
+        # conditions index their (false_bit, true_bit) pairs in self.arms.
         arm = self.arm_bit
         no_hit = arm("btb_hit", False) | arm("pred_taken", False)
         self._empty_mask = no_hit | arm("btb_alias", False)
@@ -39,14 +39,11 @@ class BranchPredictor(Module):
         hit = arm("btb_hit", True) | arm("btb_alias", False)
         self._hit_masks = (hit | arm("pred_taken", False),
                            hit | arm("pred_taken", True))
-        self._mispredict = (arm("mispredict", False), arm("mispredict", True))
+        self._mispredict = self.arms["mispredict"]
         self._new_entry_mask = arm("update_new_entry", True)
-        self._update_pairs = (
-            arm("update_new_entry", False),
-            (arm("ctr_saturated_taken", False), arm("ctr_saturated_taken", True)),
-            (arm("ctr_saturated_not_taken", False),
-             arm("ctr_saturated_not_taken", True)),
-        )
+        self._update_pairs = (arm("update_new_entry", False),
+                              self.arms["ctr_saturated_taken"],
+                              self.arms["ctr_saturated_not_taken"])
 
     def _index(self, pc: int) -> int:
         return (pc >> 2) % self.entries

@@ -362,7 +362,7 @@ class RocketCore(Module):
 
         def pairs(*names: str) -> tuple[tuple[int, int], ...]:
             """Prebound (false_bit, true_bit) arm pairs, indexed by value."""
-            return tuple((arm(name, False), arm(name, True)) for name in names)
+            return tuple(self.arms[name] for name in names)
 
         #: word -> WordRecord, bounded by WORD_TABLE_CAP (see word_record).
         self._words: dict[int, WordRecord] = {}
@@ -376,7 +376,7 @@ class RocketCore(Module):
         idle = self.irq._idle_mask
         self._fetch_fault_mask = idle | arm("frontend.fetch_fault", True)
         self._fetched_mask = idle | arm("frontend.fetch_fault", False)
-        (self._line_cross,) = pairs("frontend.line_cross")
+        self._line_cross = self.arms["frontend.line_cross"]
         self._line_offset_mask = self.icache.line_bytes - 1
         self._line_last_word = self.icache.line_bytes - 4
         self._hazard_pairs = pairs(

@@ -35,13 +35,10 @@ class Tracer(Module):
             "x0_amo_quirk",      # Finding2 activation
             "x0_jalr_quirk",     # Finding3 activation
         )
-        # retire() folds the group into one record_mask, indexing prebound
-        # (false_bit, true_bit) pairs with each condition's value.
-        self._pairs = tuple(
-            (self.arm_bit(name, False), self.arm_bit(name, True))
-            for name in ("suppress_muldiv", "x0_amo_quirk", "x0_jalr_quirk",
-                         "emit_rd")
-        )
+        # retire() folds the group into one record_mask, indexing each
+        # condition's (false_bit, true_bit) pair with its value.
+        self._pairs = tuple(self.arms[name] for name in (
+            "suppress_muldiv", "x0_amo_quirk", "x0_jalr_quirk", "emit_rd"))
 
     def reset(self) -> None:
         super().reset()

@@ -1,41 +1,23 @@
-"""Module hierarchy, clocked registers and the clock domain."""
+"""Module hierarchy: scoped condition names, prebound arm pairs, reset."""
 
 import pytest
 
 from repro.rtl.coverage import ConditionCoverage
 from repro.rtl.module import Module
-from repro.rtl.signal import Reg
-from repro.rtl.simulator import ClockDomain
 
 
 class Counter(Module):
-    """Tiny design used to exercise the framework."""
+    """Tiny design used to exercise the framework: its own state plus a
+    ``reset`` override, as the caches and the predictor have."""
 
     def __init__(self, path, cov):
         super().__init__(path, cov)
-        self.count = self.reg(0)
+        self.count = 0
         self.conditions("wrap")
 
-    def evaluate(self):
-        wrapped = self.cond("wrap", self.count.value == 3)
-        self.count.next = 0 if wrapped else self.count.value + 1
-
-
-class TestReg:
-    def test_two_phase_commit(self):
-        r = Reg(0)
-        r.next = 7
-        assert r.value == 0
-        r.commit()
-        assert r.value == 7
-
-    def test_reset(self):
-        r = Reg(5)
-        r.next = 9
-        r.commit()
-        r.reset()
-        assert r.value == 5
-        assert r.next == 5
+    def reset(self):
+        super().reset()
+        self.count = 0
 
 
 class TestModule:
@@ -43,93 +25,31 @@ class TestModule:
         cov = ConditionCoverage()
         m = Module("top.sub", cov)
         m.condition("busy")
-        m.cond("busy", True)
+        cov.record_mask(m.arm_bit("busy", True))
         assert cov.arm_name(1) == "top.sub.busy:T"
+        assert cov.run_hits == {1}
 
     def test_undeclared_condition_raises(self):
         m = Module("m", ConditionCoverage())
         with pytest.raises(KeyError):
-            m.cond("nope", True)
+            m.arm_bit("nope", True)
 
-    def test_child_registration_and_iteration(self):
+    def test_arms_prebind_each_conditions_pair(self):
         cov = ConditionCoverage()
-        top = Module("top", cov)
-        child = top.child(Module("top.child", cov))
-        grand = child.child(Module("top.child.grand", cov))
-        assert list(top.iter_modules()) == [top, child, grand]
+        m = Module("m", cov)
+        m.conditions("a", "b")
+        assert m.arms == {"a": (1 << 0, 1 << 1), "b": (1 << 2, 1 << 3)}
+        for name, (false_bit, true_bit) in m.arms.items():
+            assert m.arm_bit(name, 0) == false_bit
+            assert m.arm_bit(name, 7) == true_bit
+        cov.record_mask(m.arms["a"][False] | m.arms["b"][True])
+        assert {cov.arm_name(arm) for arm in cov.run_hits} == {"m.a:F", "m.b:T"}
 
     def test_reset_reaches_children(self):
         cov = ConditionCoverage()
         top = Module("top", cov)
-        child = top.child(Counter("top.ctr", cov))
-        child.count.next = 5
-        child.count.commit()
+        child = top.child(Module("top.child", cov))
+        grand = child.child(Counter("top.child.ctr", cov))
+        grand.count = 5
         top.reset()
-        assert child.count.value == 0
-
-
-class TestClockDomain:
-    def test_tick_advances_design(self):
-        cov = ConditionCoverage()
-        ctr = Counter("ctr", cov)
-        clock = ClockDomain(ctr)
-        for _ in range(5):
-            clock.tick()
-        assert clock.cycles == 5
-        assert ctr.count.value == 1  # 0,1,2,3,wrap->0,1
-
-    def test_wrap_condition_covered_both_ways(self):
-        cov = ConditionCoverage()
-        ctr = Counter("ctr", cov)
-        clock = ClockDomain(ctr)
-        for _ in range(5):
-            clock.tick()
-        assert cov.run_hits == {0, 1}
-
-    def test_restart_resets(self):
-        cov = ConditionCoverage()
-        ctr = Counter("ctr", cov)
-        clock = ClockDomain(ctr)
-        clock.tick()
-        clock.restart()
-        assert clock.cycles == 0
-        assert ctr.count.value == 0
-
-    def test_top_without_evaluate_rejected(self):
-        clock = ClockDomain(Module("m", ConditionCoverage()))
-        with pytest.raises(TypeError):
-            clock.tick()
-
-
-class TestRecordKeyedGroup:
-    def make_module(self):
-        cov = ConditionCoverage()
-        mod = Module("m", cov)
-        mod.conditions("a", "b")
-        cov.freeze()
-        return mod, cov
-
-    def test_builds_once_and_records_every_time(self):
-        mod, cov = self.make_module()
-        cache = {}
-        calls = []
-
-        def builder(key):
-            calls.append(key)
-            return mod.arm_bit("a", key) | mod.arm_bit("b", not key)
-
-        mod.record_keyed_group(cache, True, builder, True)
-        mod.record_keyed_group(cache, True, builder, True)
-        assert calls == [True]          # memoized after the first sighting
-        assert cov.run_hits == {1, 2}   # a:T, b:F
-        cov.begin_run()
-        mod.record_keyed_group(cache, True, builder, True)
-        assert cov.run_hits == {1, 2}   # hits re-recorded from the cache
-
-    def test_cache_bounded_by_cap(self):
-        mod, cov = self.make_module()
-        cache = {}
-        build = lambda key: mod.arm_bit("a", key % 2)
-        for key in range(10):
-            mod.record_keyed_group(cache, key, build, key, cap=4)
-        assert len(cache) <= 4          # cleared at the cap, never unbounded
+        assert grand.count == 0

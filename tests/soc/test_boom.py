@@ -105,3 +105,23 @@ class TestTiming:
         _, boom_report = boom.run_dut(body)
         _, rocket_report = rocket.run_dut(body)
         assert boom_report.cycles < rocket_report.cycles
+
+
+class TestDecodeTable:
+    def test_bounded_and_transparent(self, monkeypatch):
+        """The per-word decode-mask table is cleared at its cap, and a run
+        that overflows it reports exactly what a run within it does."""
+        from repro.isa.encoder import encode
+        from repro.soc.boom import core as boom_core
+        from repro.soc.harness import build_program
+
+        program = build_program(
+            [encode("addi", rd=5, rs1=5, imm=i) for i in range(40)])
+        ref_trace, ref_report = BoomCore().run(program)
+        monkeypatch.setattr(boom_core, "DECODE_TABLE_CAP", 8)
+        core = BoomCore()
+        for _ in range(2):
+            trace, report = core.run(program)
+            assert len(core._decode_masks) <= 8
+            assert trace.entries == ref_trace.entries
+            assert report.hits == ref_report.hits
