@@ -332,6 +332,10 @@ class BoomCore(Module):
                 mask |= arms["execute.result_zero"][result.rd_value == 0]
 
             # ---------------- LSU ---------------------------------------------
+            # A failed SC performs no memory access, so its condition is
+            # evaluated outside the memory path.
+            if m.startswith("sc."):
+                mask |= arms["lsu.sc_success"][result.rd_value == 0]
             if result.mem is not None:
                 addr = result.mem.addr
                 if result.mem.is_store:
@@ -351,8 +355,6 @@ class BoomCore(Module):
                 mask |= (arms["lsu.misaligned"][False]
                          | arms["lsu.access_fault"][False]
                          | arms["lsu.reservation_set"][m.startswith("lr.")])
-                if m.startswith("sc."):
-                    mask |= arms["lsu.sc_success"][result.rd_value == 0]
                 if self.dcache.lookup(addr) is None:
                     self.dcache.refill(addr, memory.read_bytes)
                     cycles += self.dcache.miss_penalty

@@ -82,6 +82,24 @@ class TestCoverageProfile:
         assert "boom.frontend.ras_pop:T" in names
 
 
+class TestAtomics:
+    def test_failed_and_successful_sc_cover_both_arms(self, harness):
+        """A failed SC performs no memory access but still evaluates the
+        success condition, as on Rocket."""
+        from repro.isa.assembler import Assembler
+
+        body = Assembler().assemble("""
+            sc.w t1, t0, (gp)
+            lr.w t0, (gp)
+            sc.w t1, t0, (gp)
+        """)
+        dut, gold, report = harness.run_differential(body)
+        assert [e.rd_value for e in dut if e.instr == body[0]] == [1, 0]
+        assert compare_traces(dut, gold) == []
+        names = {harness.core.cov.arm_name(a) for a in report.hits}
+        assert {"boom.lsu.sc_success:F", "boom.lsu.sc_success:T"} <= names
+
+
 class TestTiming:
     def test_superscalar_faster_than_rocket_on_warm_loop(self):
         from repro.isa.assembler import Assembler
