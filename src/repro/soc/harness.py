@@ -162,10 +162,9 @@ class DutHarness:
     ----------
     core:
         Any object with ``run(program, base) -> (CommitTrace, CoverageReport)``
-        (RocketCore or BoomCore).
-    max_steps:
-        Execution cap forwarded to the golden model (must match the core's
-        own ``params.max_steps`` for trace comparability).
+        and ``params`` (RocketCore or BoomCore).  The golden model stops at
+        the core's own ``params.max_steps`` and ``params.max_traps``, so
+        both traces end at the same limit.
     golden_lanes:
         Lane-group width for the batched golden engine
         (:class:`repro.golden.batch.GoldenBatchSimulator`).  ``0`` (the
@@ -185,21 +184,21 @@ class DutHarness:
         declares no batch engine, BOOM among them, reject it loudly.
     """
 
-    def __init__(self, core, max_steps: int = 4096,
-                 golden_lanes: int = 0, dut_lanes: int = 0) -> None:
+    def __init__(self, core, golden_lanes: int = 0,
+                 dut_lanes: int = 0) -> None:
         self.core = core
-        self.max_steps = max_steps
         self.golden_lanes = golden_lanes
         self.dut_lanes = dut_lanes
-        self.golden = GoldenSimulator(SimConfig(max_steps=max_steps))
+        limits = SimConfig(max_steps=core.params.max_steps,
+                           max_traps=core.params.max_traps)
+        self.golden = GoldenSimulator(limits)
         self._golden_batch = None
         self._dut_batch = None
         if golden_lanes > 0:
             from repro.golden.batch import GoldenBatchSimulator
 
-            self._golden_batch = GoldenBatchSimulator(
-                SimConfig(max_steps=max_steps), lanes=golden_lanes
-            )
+            self._golden_batch = GoldenBatchSimulator(limits,
+                                                      lanes=golden_lanes)
         if dut_lanes > 0:
             batch_cls = _batch_engine_for(core)
             if batch_cls is None:
@@ -275,9 +274,7 @@ def make_harness(kind: str = "rocket", params=None, golden_lanes: int = 0,
                  dut_lanes: int = 0) -> DutHarness:
     """Harness around any registered core kind, batch engines included."""
     engine = resolve_engine(kind)
-    core_params = params or engine.params_cls()
-    return DutHarness(engine.core_cls(core_params),
-                      max_steps=core_params.max_steps,
+    return DutHarness(engine.core_cls(params or engine.params_cls()),
                       golden_lanes=golden_lanes, dut_lanes=dut_lanes)
 
 

@@ -119,6 +119,33 @@ class TestDifferentialRun:
         assert muldiv_arm in first.hits
         assert muldiv_arm not in second.hits
 
+    @pytest.mark.parametrize("golden_lanes", [0, 4])
+    @pytest.mark.parametrize("kind", ["rocket", "boom"])
+    def test_golden_model_takes_the_cores_trap_budget(self, kind,
+                                                      golden_lanes):
+        """A trap storm ends both traces at the core's ``max_traps``, on
+        the scalar and the lane golden path alike."""
+        from dataclasses import replace
+
+        from repro.fuzzing.mismatch import compare_traces
+        from repro.isa.assembler import Assembler
+        from repro.soc.boom import BoomParams
+        from repro.soc.rocket import RocketParams
+
+        params = {"rocket": RocketParams.clean(), "boom": BoomParams()}[kind]
+        harness = make_harness(kind, replace(params, max_traps=8),
+                               golden_lanes=golden_lanes)
+        body = Assembler().assemble("""
+        loop:
+            ecall
+            .word 0xFFFFFFFF
+            ebreak
+            j loop
+        """)
+        ((dut, gold, _),) = harness.run_differential_batch([body])
+        assert dut.stop_reason == gold.stop_reason == "max_traps"
+        assert compare_traces(dut, gold) == []
+
 
 class TestBatchedLanes:
     BODIES = [[encode("addi", rd=10, rs1=0, imm=i)] for i in range(8)]
