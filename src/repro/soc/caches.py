@@ -17,6 +17,10 @@ from repro.rtl.module import Module
 _victim_order = attrgetter("valid", "lru")
 
 
+def _power_of_two(n: int) -> bool:
+    return n > 0 and n & (n - 1) == 0
+
+
 class CacheLine:
     """One line of a set-associative cache."""
 
@@ -42,7 +46,9 @@ class SetAssocCache(Module):
     path, cov:
         Module identity and coverage database.
     ways, sets, line_bytes:
-        Geometry; ``line_bytes`` must be a power of two.
+        Geometry; ``sets`` must be a power of two, and ``line_bytes`` a
+        power of two of at least 8 (the widest access).  Any other value
+        raises ``ValueError``: the index and offset are bit fields.
     hit_latency, miss_penalty:
         Cycle costs reported to the core's timing model.
     """
@@ -58,6 +64,11 @@ class SetAssocCache(Module):
         miss_penalty: int = 20,
         writable: bool = True,
     ) -> None:
+        if not (_power_of_two(sets) and _power_of_two(line_bytes)
+                and line_bytes >= 8):
+            raise ValueError(
+                f"{path}: sets ({sets}) must be a power of two and "
+                f"line_bytes ({line_bytes}) a power of two of at least 8")
         super().__init__(path, cov)
         self.ways = ways
         self.sets = sets

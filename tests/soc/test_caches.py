@@ -1,5 +1,7 @@
 """Set-associative cache model: hits, eviction, staleness (Bug1 substrate)."""
 
+import pytest
+
 from repro.golden.memory import SparseMemory
 from repro.isa.spec import DRAM_BASE
 from repro.rtl.coverage import ConditionCoverage
@@ -127,3 +129,29 @@ class TestCoverageConditions:
         cache.refill(DRAM_BASE + 32, mem.read_bytes)  # evicts the dirty line
         names = {cov.arm_name(a) for a in cov.run_hits}
         assert "c.evict_dirty:T" in names
+
+
+class TestGeometry:
+    """Index and offset are bit fields, so a geometry that is not a power
+    of two would serve another line's bytes; it is refused instead."""
+
+    @pytest.mark.parametrize("geometry", [
+        {"sets": 6}, {"sets": 0}, {"line_bytes": 24}, {"line_bytes": 4},
+    ])
+    def test_bad_geometry_rejected(self, geometry):
+        with pytest.raises(ValueError, match="power of two"):
+            make_cache(**geometry)
+
+    def test_core_with_bad_icache_rejected(self):
+        from repro.soc.rocket import RocketCore, RocketParams
+
+        with pytest.raises(ValueError, match="icache"):
+            RocketCore(RocketParams(icache_sets=6))
+
+    def test_power_of_two_geometries_accepted(self):
+        for sets, line_bytes in ((1, 8), (2, 16), (16, 64)):
+            cache, _ = make_cache(sets=sets, line_bytes=line_bytes)
+            mem = backing(fill=1)
+            for addr in (DRAM_BASE, DRAM_BASE + line_bytes * sets):
+                cache.refill(addr, mem.read_bytes)
+                assert cache.read_cached(addr, 4) == mem.read_bytes(addr, 4)
