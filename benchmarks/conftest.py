@@ -1,8 +1,9 @@
 """Shared infrastructure for the experiment benchmarks.
 
-Every benchmark regenerates one paper artifact (see DESIGN.md §3).  The
-trained ChatFuzz model is expensive, so it is built once per session and
-cached on disk under ``.bench_cache/`` — delete the directory to retrain.
+Every benchmark regenerates one paper artifact, named in its module
+docstring.  The trained ChatFuzz model is expensive, so it is built once
+per session and cached on disk under ``.bench_cache/`` — delete the
+directory to retrain.
 
 Scaling: campaigns default to a few hundred tests (laptop-scale); set
 ``CHATFUZZ_BENCH_SCALE`` (float ≥ 1) to run longer campaigns approaching

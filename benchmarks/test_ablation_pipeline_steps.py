@@ -1,4 +1,4 @@
-"""A-NOCLEAN / A-NOCOV — ablating pipeline steps (DESIGN.md §3).
+"""A-NOCLEAN / A-NOCOV — ablating pipeline steps.
 
 The paper motivates step 2 ("helps avoid unnecessary CPU simulation of
 bad/malformed data") and step 3 (coverage-directed exploration) but does not

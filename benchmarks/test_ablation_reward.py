@@ -1,4 +1,4 @@
-"""A-PENALTY / A-SCORE — reward-design ablations (DESIGN.md §3).
+"""A-PENALTY / A-SCORE — reward-design ablations.
 
 - A-PENALTY sweeps the invalid-instruction penalty around the paper's
   ``f = N − 5·Invalid`` (Eq. 1): with no penalty there is no pressure toward

@@ -10,8 +10,6 @@ pairs, atomics, occasional code patching).  The extraction pass
 (:mod:`repro.dataset.extraction`) then recovers function boundaries from the
 flat binary exactly as the paper's pipeline does, and
 :mod:`repro.dataset.corpus` holds the result.
-
-See DESIGN.md §1 for why the substitution preserves what the LLM must learn.
 """
 
 from repro.dataset.codegen import CodegenConfig, FunctionGenerator, generate_binary

@@ -5,7 +5,7 @@
 - :class:`~repro.fuzzing.mismatch.MismatchDetector` — trace diffing with
   signature-based unique-mismatch filtering and user filters (§IV-A).
 - :class:`~repro.fuzzing.simclock.SimClock` — the simulated wall-clock that
-  maps test counts to the paper's time axis (DESIGN.md §1).
+  maps test counts to the paper's time axis.
 - :class:`~repro.fuzzing.campaign.Campaign` — drives a fuzzer to a
   test-count / sim-time / coverage target and records the coverage curve.
 - :class:`~repro.fuzzing.executor.HarnessExecutor` — injectable execution

@@ -17,7 +17,7 @@ which gives ``per_test_seconds = (86400 - 3120) / 197200 ≈ 0.4223`` and
 config, paid once per campaign).  Both fuzzers are charged identically, as
 the paper reports "similar runtime overhead" for ChatFuzz and TheHuzz; the
 curves therefore differ only through coverage-per-test, which is the honest
-comparison (DESIGN.md §1).
+comparison.
 """
 
 from __future__ import annotations

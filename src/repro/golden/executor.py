@@ -9,7 +9,7 @@ access-fault — the ordering the paper's Finding1 shows RocketCore violating).
 
 The SoC models reuse these semantics for functional execution and wrap them
 with microarchitectural state machines, so ISA correctness lives in exactly
-one place (see DESIGN.md §5).
+one place (see the :mod:`repro.soc` docstring).
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """The ML subsystem: everything the paper builds on PyTorch/HuggingFace/TRL,
-re-implemented on numpy (DESIGN.md §1).
+re-implemented on numpy.
 
 Layers of the stack:
 

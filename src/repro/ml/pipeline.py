@@ -32,7 +32,8 @@ from repro.ml.transformer import GPT2Config, GPT2LMModel
 
 @dataclass
 class PipelineConfig:
-    """End-to-end configuration; defaults are laptop-scale (see DESIGN.md)."""
+    """End-to-end configuration; defaults are laptop-scale (the comments
+    give the paper's sizes)."""
 
     # Dataset (paper: ~500K vectors from the Linux kernel; 51.2K RL samples).
     corpus_functions: int = 300

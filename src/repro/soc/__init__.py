@@ -1,6 +1,6 @@
 """SoC models: the designs under test.
 
-Two processor models stand in for the paper's RTL testbeds (DESIGN.md §1):
+Two processor models stand in for the paper's RTL testbeds:
 
 - :mod:`repro.soc.rocket` — a RocketCore-like in-order RV64IMA_Zicsr pipeline
   with I$/D$, branch prediction, a store buffer and the five documented

@@ -10,7 +10,7 @@ class BoomParams:
     """Elaboration-time parameters of :class:`~repro.soc.boom.core.BoomCore`."""
 
     # Cache geometry.  Small enough that eviction/conflict FSM states are
-    # exercised by ordinary test programs (DESIGN.md §5).
+    # exercised by ordinary test programs.
     icache_ways: int = 2
     icache_sets: int = 4
     dcache_ways: int = 2

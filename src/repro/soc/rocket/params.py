@@ -20,7 +20,7 @@ class RocketParams:
     dcache_sets: int = 8
     line_bytes: int = 32
 
-    # Latencies, in cycles (timing model; see DESIGN.md §5).
+    # Latencies, in cycles (the timing model).
     icache_miss_penalty: int = 20
     dcache_miss_penalty: int = 20
     dirty_evict_penalty: int = 8

@@ -4,7 +4,7 @@ These blocks exist in the real RocketCore netlist and contribute condition
 cover points that fuzzing *cannot* reach (no debug requests or interrupts are
 ever injected during instruction fuzzing).  They are what caps achievable
 condition coverage below 100%, reproducing the paper's ~79% RocketCore
-plateau (DESIGN.md §5).
+plateau.
 
 - :class:`DebugUnit` conditions are never evaluated at all — both arms stay
   uncovered, like logic behind a clock gate that never opens.

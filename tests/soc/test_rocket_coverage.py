@@ -1,6 +1,6 @@
 """Targeted stimulus -> condition mapping for the Rocket model's deep
 coverage points: each entangled idiom must light up exactly the conditions
-it was designed around (DESIGN.md §5)."""
+it was designed around."""
 
 import pytest
 
