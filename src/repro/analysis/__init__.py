@@ -14,7 +14,6 @@ from repro.analysis.fleet import (
     FleetMismatch,
     dedupe_mismatches,
     fleet_bug_table,
-    fleet_detected_bugs,
     fleet_stats_table,
 )
 from repro.analysis.report import format_table
@@ -26,7 +25,6 @@ __all__ = [
     "classify_mismatches",
     "dedupe_mismatches",
     "fleet_bug_table",
-    "fleet_detected_bugs",
     "fleet_stats_table",
     "format_table",
 ]

@@ -69,15 +69,6 @@ def classify_fleet_mismatches(
     return groups
 
 
-def fleet_detected_bugs(campaigns: Iterable[CampaignResult]) -> set[str]:
-    """Known bug ids evidenced anywhere in the fleet."""
-    return {
-        bug_id
-        for bug_id, entries in classify_fleet_mismatches(campaigns).items()
-        if bug_id != "UNEXPLAINED" and entries
-    }
-
-
 def fleet_bug_rows(campaigns: Iterable[CampaignResult]) -> list[list[str]]:
     """E-BUGS detection rows: one per known bug, plus the unexplained tail.
 

@@ -18,7 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.rtl.report import CoverageReport, CumulativeCoverage
+from repro.rtl.report import (
+    CoverageReport,
+    CumulativeCoverage,
+    coverage_percent,
+)
 
 
 @dataclass(frozen=True)
@@ -40,7 +44,7 @@ class InputCoverage:
 
     @property
     def total_percent(self) -> float:
-        return 100.0 * self.total_fraction
+        return coverage_percent(self.total, self.total_arms)
 
     @property
     def improved(self) -> bool:

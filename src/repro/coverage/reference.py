@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.coverage.calculator import InputCoverage
+from repro.rtl.report import coverage_percent
 
 
 class SetConditionCoverage:
@@ -90,9 +91,7 @@ class SetCumulativeCoverage:
 
     @property
     def percent(self) -> float:
-        if self.total_arms == 0:
-            return 0.0
-        return 100.0 * len(self.hits) / self.total_arms
+        return coverage_percent(len(self.hits), self.total_arms)
 
 
 class SetCoverageCalculator:

@@ -48,7 +48,6 @@ from repro.fuzzing.fleet import (
     FleetStats,
     QuarantinedArm,
     SliceTimeout,
-    register_generator,
 )
 from repro.fuzzing.input import TestInput
 from repro.fuzzing.mismatch import Mismatch, MismatchDetector, counter_csr_filter
@@ -88,5 +87,4 @@ __all__ = [
     "TestInput",
     "counter_csr_filter",
     "default_workers",
-    "register_generator",
 ]

@@ -73,7 +73,7 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.fuzzing.campaign import Campaign, CampaignResult, CurvePoint
 from repro.fuzzing.chatfuzz import FuzzLoop
@@ -82,49 +82,36 @@ from repro.fuzzing.pool import default_workers
 from repro.fuzzing.scheduler import BudgetScheduler, RoundRobin
 from repro.obs.events import NULL_SINK, EventSink, ListSink
 from repro.rtl.bitset import Bitset
-from repro.rtl.report import disjoint_union_percent
+from repro.rtl.report import coverage_percent, disjoint_union_percent
 from repro.soc.harness import HarnessFactory
 
-#: Fuzzer kinds a spec can name without shipping a generator object.
-#: Builders are called as ``builder(seed=spec.seed, **spec.fuzzer_config)``.
-#: The baseline kinds are installed lazily by :func:`_ensure_builtin_kinds`
-#: — ``repro.baselines`` itself imports ``repro.fuzzing``, so importing it
-#: at module scope here would be circular.
-GENERATOR_KINDS: dict[str, Callable] = {}
 
+def _generator_classes() -> dict[str, type]:
+    """The fuzzer kinds a spec can name, each built as
+    ``cls(seed=spec.seed, **spec.fuzzer_config)``.
 
-def _ensure_builtin_kinds() -> None:
-    if GENERATOR_KINDS.keys() >= {"thehuzz", "difuzzrtl", "random"}:
-        return
+    Imported on call: ``repro.baselines`` imports ``repro.fuzzing``, so
+    importing it at module scope here would be circular.
+    """
     from repro.baselines.difuzzrtl import DifuzzRTLGenerator
     from repro.baselines.random_regression import RandomRegressionGenerator
     from repro.baselines.thehuzz import TheHuzzGenerator
 
-    GENERATOR_KINDS.setdefault("thehuzz", TheHuzzGenerator)
-    GENERATOR_KINDS.setdefault("difuzzrtl", DifuzzRTLGenerator)
-    GENERATOR_KINDS.setdefault("random", RandomRegressionGenerator)
-
-
-def register_generator(kind: str, builder: Callable) -> None:
-    """Register a generator builder for :attr:`CampaignSpec.fuzzer`.
-
-    ``builder`` must accept a ``seed`` keyword plus the spec's
-    ``fuzzer_config`` entries, and be importable from worker processes
-    (module-level, picklable) for pooled fleets.
-    """
-    GENERATOR_KINDS[kind] = builder
+    return {"thehuzz": TheHuzzGenerator, "difuzzrtl": DifuzzRTLGenerator,
+            "random": RandomRegressionGenerator}
 
 
 @dataclass(frozen=True)
 class CampaignSpec:
     """Declarative recipe for one campaign arm (fully picklable).
 
-    Either name a registered ``fuzzer`` kind (built per worker from
-    ``seed`` + ``fuzzer_config``) or supply a prebuilt picklable
-    ``generator`` object (the ChatFuzz path: the trained
-    ``LLMInputGenerator`` carries its own model); the generator is
-    deep-copied at build time so one spec can be built repeatedly without
-    sharing mutable fuzzer state.
+    Either name a baseline ``fuzzer`` kind ("thehuzz", "difuzzrtl" or
+    "random", built per worker from ``seed`` + ``fuzzer_config``) or
+    supply a prebuilt picklable ``generator`` object: the ChatFuzz path,
+    whose trained ``LLMInputGenerator`` carries its own model, and the way
+    to run any other generator.  The generator is deep-copied at build
+    time so one spec can be built repeatedly without sharing mutable
+    fuzzer state.
     """
 
     name: str
@@ -152,6 +139,12 @@ class CampaignSpec:
                 f"spec {self.name!r}: batch_size must be >= 1, "
                 f"got {self.batch_size}"
             )
+        kinds = _generator_classes()
+        if self.generator is None and self.fuzzer not in kinds:
+            raise ValueError(
+                f"spec {self.name!r}: unknown fuzzer kind {self.fuzzer!r} "
+                f"(known: {sorted(kinds)}; pass generator= for others)"
+            )
         self.harness_factory()
 
     def harness_factory(self) -> HarnessFactory:
@@ -170,14 +163,7 @@ class CampaignSpec:
         """Build a fresh generator for one campaign instance."""
         if self.generator is not None:
             return copy.deepcopy(self.generator)
-        _ensure_builtin_kinds()
-        try:
-            builder = GENERATOR_KINDS[self.fuzzer]
-        except KeyError:
-            raise ValueError(
-                f"spec {self.name!r}: unknown fuzzer kind {self.fuzzer!r} "
-                f"(known: {sorted(GENERATOR_KINDS)}; see register_generator)"
-            ) from None
+        builder = _generator_classes()[self.fuzzer]
         return builder(seed=self.seed, **self.fuzzer_config)
 
     def build_campaign(self) -> Campaign:
@@ -448,9 +434,8 @@ class FleetResult:
             merged.append(CurvePoint(
                 tests=sum(latest_tests),
                 sim_hours=hours,
-                coverage_percent=(
-                    100.0 * union.bit_count() / universe if universe else 0.0
-                ),
+                coverage_percent=coverage_percent(union.bit_count(),
+                                                  universe),
                 hits=Bitset(union, universe),
             ))
         return merged
@@ -1286,16 +1271,13 @@ class FleetRunner:
         loop = state["loop"]
         coverage: Bitset = loop["coverage"]
         detector = loop["detector"]
-        # Same association order as CumulativeCoverage.percent, so rebuilt
-        # results compare bit-identical to live ones.
-        percent = (100.0 * (len(coverage) / coverage.nbits)
-                   if coverage.nbits else 0.0)
         return CampaignResult(
             name=name,
             curve=list(state["curve"] or []),
             tests_run=loop["tests_run"],
             sim_hours=loop["clock_seconds"] / 3600.0,
-            final_coverage_percent=percent,
+            final_coverage_percent=coverage_percent(len(coverage),
+                                                    coverage.nbits),
             raw_mismatches=detector.raw_count,
             unique_mismatches=detector.unique_count,
             final_coverage=coverage,

@@ -1,27 +1,20 @@
-"""Test-input container with provenance tracking."""
+"""Test-input container with a provenance label."""
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-
-_IDS = itertools.count()
+from dataclasses import dataclass
 
 
 @dataclass
 class TestInput:
     """One fuzzing test case: a list of 32-bit instruction words.
 
-    ``source`` records provenance ("llm", "seed", "mutation"); ``parent`` is
-    the id of the input this one was mutated from, when applicable.  The
-    fuzzers use provenance for corpus management and the analysis package
-    uses it in reports.
+    ``source`` labels where the body came from ("llm", "seed",
+    "mutation"); the loop simulates every input alike and never reads it.
     """
 
     words: list[int]
     source: str = "llm"
-    parent: int | None = None
-    input_id: int = field(default_factory=lambda: next(_IDS))
 
     def __len__(self) -> int:
         return len(self.words)

@@ -117,6 +117,10 @@ class ShardedExecutor(HarnessExecutor):
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        if chunk_size is not None and chunk_size < 1:
+            # 0 fails every batch in range(); a negative size builds no
+            # chunks, so each batch would "run" with no results at all.
+            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = chunk_size
         self.max_retries = max_retries
         self.stats = PoolStats()

@@ -29,9 +29,5 @@ class ArchState:
         if idx != 0:
             self.regs[idx] = value & WORD_MASK
 
-    def snapshot_regs(self) -> tuple[int, ...]:
-        """Immutable copy of the register file (used by tests/properties)."""
-        return tuple(self.regs)
-
     def __repr__(self) -> str:
         return f"ArchState(pc={self.pc:#x}, priv={self.priv})"

@@ -116,8 +116,3 @@ def decode(word: int) -> DecodedInstr | None:
     millions of times.
     """
     return _decode_uncached(word)
-
-
-def is_legal(word: int) -> bool:
-    """True when ``word`` decodes to an implemented instruction."""
-    return decode(word) is not None

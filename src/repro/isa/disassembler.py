@@ -9,8 +9,6 @@ so the ML package depends on the ISA layer, never the other way round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.isa.decoder import DecodedInstr, decode
 from repro.isa.instructions import (
     FMT_AMO,
@@ -77,26 +75,6 @@ def format_instr(instr: DecodedInstr) -> str:
     raise AssertionError(f"unhandled format {fmt}")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class DisassemblyResult:
-    """Outcome of disassembling a raw word stream."""
-
-    lines: tuple[str, ...]
-    total: int
-    invalid: int
-
-    @property
-    def valid(self) -> int:
-        return self.total - self.invalid
-
-    @property
-    def validity_rate(self) -> float:
-        """Fraction of words that decode; 1.0 for an empty stream."""
-        if self.total == 0:
-            return 1.0
-        return self.valid / self.total
-
-
 class Disassembler:
     """Stateless disassembler over 32-bit instruction word streams.
 
@@ -115,19 +93,6 @@ class Disassembler:
         if instr is None:
             return f"{self.invalid_marker} {word & 0xFFFFFFFF:#010x}"
         return format_instr(instr)
-
-    def disassemble(self, words: list[int]) -> DisassemblyResult:
-        """Disassemble a stream, counting invalid words for reward scoring."""
-        lines = []
-        invalid = 0
-        for word in words:
-            instr = decode(word)
-            if instr is None:
-                invalid += 1
-                lines.append(f"{self.invalid_marker} {word & 0xFFFFFFFF:#010x}")
-            else:
-                lines.append(format_instr(instr))
-        return DisassemblyResult(tuple(lines), total=len(words), invalid=invalid)
 
     def count_invalid(self, words: list[int]) -> int:
         """Number of words in the stream that do not decode."""

@@ -112,11 +112,3 @@ def encode(
     except ValueError as exc:  # immediate range errors from fields.*
         raise EncodingError(str(exc)) from exc
     return word & 0xFFFF_FFFF
-
-
-def encode_program(entries: list[tuple]) -> list[int]:
-    """Encode ``[(mnemonic, kwargs-dict), ...]`` into a list of words."""
-    words = []
-    for mnemonic, operands in entries:
-        words.append(encode(mnemonic, **operands))
-    return words

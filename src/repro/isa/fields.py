@@ -33,11 +33,6 @@ def to_unsigned(value: int, width: int = 64) -> int:
     return value & ((1 << width) - 1)
 
 
-def to_signed(value: int, width: int = 64) -> int:
-    """Alias of :func:`sign_extend` with the architectural default width."""
-    return sign_extend(value, width)
-
-
 def fits_signed(value: int, width: int) -> bool:
     """True when ``value`` is representable as a ``width``-bit signed int."""
     return -(1 << (width - 1)) <= value < (1 << (width - 1))

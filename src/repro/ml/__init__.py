@@ -6,8 +6,8 @@ Layers of the stack:
 - :mod:`repro.ml.tensor` — a vectorised reverse-mode autograd engine.
 - :mod:`repro.ml.layers`, :mod:`repro.ml.attention`,
   :mod:`repro.ml.transformer` — a GPT-2-family causal LM with a value head.
-- :mod:`repro.ml.tokenizer` — machine-language tokenizers (half-word, the
-  paper's representation; and an instruction-field alternative).
+- :mod:`repro.ml.tokenizer` — the machine-language tokenizer (16-bit
+  half-words, the paper's representation).
 - :mod:`repro.ml.optim`, :mod:`repro.ml.sampling` — Adam and
   temperature/top-k/top-p generation.
 - :mod:`repro.ml.kvcache` — the per-layer K/V cache behind the
@@ -26,12 +26,11 @@ Layers of the stack:
 
 from repro.ml.kvcache import KVCache
 from repro.ml.pipeline import ChatFuzzPipeline, PipelineConfig
-from repro.ml.tokenizer import FieldTokenizer, HalfwordTokenizer
+from repro.ml.tokenizer import HalfwordTokenizer
 from repro.ml.transformer import GPT2Config, GPT2LMModel
 
 __all__ = [
     "ChatFuzzPipeline",
-    "FieldTokenizer",
     "GPT2Config",
     "GPT2LMModel",
     "HalfwordTokenizer",

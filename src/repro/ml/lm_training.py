@@ -24,7 +24,6 @@ class LMTrainConfig:
     lr: float = 1e-3
     grad_clip: float = 1.0
     seed: int = 0
-    log_every: int = 50
 
 
 @dataclass

@@ -76,6 +76,14 @@ class PromptSampler:
 
     def __init__(self, corpus: Corpus, tokenizer, bounds: tuple[int, int],
                  seed: int = 0) -> None:
+        # sample() redraws entries until they are long enough, so a prompt
+        # length no entry reaches would loop forever.
+        longest = max((len(entry) for entry in corpus), default=0)
+        if bounds[1] > longest:
+            raise ValueError(
+                f"prompt bounds {bounds} exceed the longest corpus entry "
+                f"({longest} instructions)"
+            )
         self.corpus = corpus
         self.tokenizer = tokenizer
         self.bounds = bounds

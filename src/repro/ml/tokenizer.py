@@ -1,4 +1,4 @@
-"""Machine-language tokenizers (paper §IV-C1).
+"""Machine-language tokenizer (paper §IV-C1).
 
 The paper "train[s] a tokenizer on the full ISA" over hex machine code; its
 Figure 1b shows 16-bit half-word units ("4118, 419c, …").
@@ -7,22 +7,15 @@ the set of 16-bit half-words observed in the training corpus (most frequent
 first, optionally capped), and every 32-bit instruction becomes two tokens
 (low half-word first, little-endian order, as in the disassembly).
 
-:class:`FieldTokenizer` is the alternative representation used by ablations:
-one token for the mnemonic and one per operand field, which shortens the
-effective vocabulary at the cost of longer sequences.
-
-Both share the same interface: ``encode_words`` / ``decode_tokens`` plus the
-special BOS/EOS/PAD/UNK ids, and are trained with :meth:`train` on a corpus
-of word sequences.
+The tokenizer is trained with :meth:`~HalfwordTokenizer.train` on a corpus
+of word sequences and maps between words and token ids with
+``encode_words`` / ``decode_tokens``; ids 0-3 are the special
+PAD/BOS/EOS/UNK tokens.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-
-from repro.isa.decoder import decode
-from repro.isa.encoder import EncodingError, encode
-from repro.isa.instructions import INSTRUCTIONS
 
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 _SPECIALS = ("<pad>", "<bos>", "<eos>", "<unk>")
@@ -118,130 +111,3 @@ class HalfwordTokenizer:
         for i in range(0, len(halves) - 1, 2):
             words.append((halves[i + 1] << 16) | halves[i])
         return words
-
-
-class FieldTokenizer:
-    """Instruction-field tokens: mnemonic + register/immediate fields.
-
-    The vocabulary is closed (built from the ISA itself plus immediate
-    buckets), so :meth:`train` only needs the corpus to learn which immediate
-    values deserve dedicated tokens.
-    """
-
-    #: Number of dedicated immediate-value tokens learned from the corpus.
-    N_IMM_TOKENS = 64
-
-    def __init__(self) -> None:
-        self._vocab: list[str] = list(_SPECIALS)
-        self._ids: dict[str, int] = {}
-        self._imm_values: list[int] = []
-
-    def train(self, corpus) -> "FieldTokenizer":
-        imm_counts: Counter[int] = Counter()
-        for entry in corpus:
-            for word in entry:
-                instr = decode(word)
-                if instr is None:
-                    continue
-                if "imm" in instr.spec.operands:
-                    imm_counts[instr.imm] += 1
-        self._imm_values = [v for v, _ in imm_counts.most_common(self.N_IMM_TOKENS)]
-        vocab = list(_SPECIALS)
-        vocab += [f"M:{m}" for m in sorted(INSTRUCTIONS)]
-        vocab += [f"R:{r}" for r in range(32)]
-        vocab += [f"I:{v}" for v in self._imm_values]
-        vocab += [f"S:{s}" for s in range(64)]       # shamt / zimm
-        vocab += ["C:0x300", "C:0x305", "C:0x340", "C:0x341", "C:0x342",
-                  "C:0xb00", "C:0xb02", "C:0xc00", "C:0xc01", "C:0xc02",
-                  "C:0xf14", "C:other"]
-        self._vocab = vocab
-        self._ids = {text: i for i, text in enumerate(vocab)}
-        return self
-
-    @property
-    def vocab_size(self) -> int:
-        return len(self._vocab)
-
-    @property
-    def tokens_per_instruction(self) -> int:
-        return 4
-
-    def _imm_token(self, value: int) -> int:
-        key = f"I:{value}"
-        token = self._ids.get(key)
-        if token is not None:
-            return token
-        # Snap to the nearest learned immediate (keeps the field count fixed).
-        if not self._imm_values:
-            return UNK
-        nearest = min(self._imm_values, key=lambda v: abs(v - value))
-        return self._ids[f"I:{nearest}"]
-
-    def encode_words(self, words, add_bos: bool = True, add_eos: bool = False) -> list[int]:
-        tokens = [BOS] if add_bos else []
-        for word in words:
-            instr = decode(word)
-            if instr is None:
-                tokens += [UNK, UNK, UNK, UNK]
-                continue
-            spec = instr.spec
-            tokens.append(self._ids.get(f"M:{spec.mnemonic}", UNK))
-            operands = list(spec.operands)[:3]
-            slots = []
-            for name in operands:
-                if name in ("rd", "rs1", "rs2"):
-                    slots.append(self._ids[f"R:{getattr(instr, name)}"])
-                elif name == "imm":
-                    slots.append(self._imm_token(instr.imm))
-                elif name in ("shamt", "zimm"):
-                    slots.append(self._ids[f"S:{getattr(instr, name)}"])
-                elif name == "csr":
-                    slots.append(self._ids.get(f"C:{instr.csr:#x}",
-                                               self._ids["C:other"]))
-            while len(slots) < 3:
-                slots.append(PAD)
-            tokens += slots
-        if add_eos:
-            tokens.append(EOS)
-        return tokens
-
-    def decode_tokens(self, tokens) -> list[int]:
-        """Token groups of four -> instruction words (invalid groups -> 0)."""
-        body = [t for t in tokens if t not in (BOS, EOS)]
-        words: list[int] = []
-        for i in range(0, len(body) - 3, 4):
-            words.append(self._decode_group(body[i : i + 4]))
-        return words
-
-    def _decode_group(self, group: list[int]) -> int:
-        def text(token: int) -> str | None:
-            if 0 <= token < len(self._vocab):
-                return self._vocab[token]
-            return None
-
-        head = text(group[0])
-        if head is None or not head.startswith("M:"):
-            return 0
-        mnemonic = head[2:]
-        spec = INSTRUCTIONS.get(mnemonic)
-        if spec is None:
-            return 0
-        kwargs: dict[str, int] = {}
-        for name, token in zip(spec.operands, group[1:]):
-            label = text(token)
-            if label is None:
-                return 0
-            prefix, _, payload = label.partition(":")
-            try:
-                value = int(payload, 0)
-            except ValueError:
-                return 0
-            expected = {"rd": "R", "rs1": "R", "rs2": "R", "imm": "I",
-                        "shamt": "S", "zimm": "S", "csr": "C"}[name]
-            if prefix != expected:
-                return 0
-            kwargs[name] = value
-        try:
-            return encode(mnemonic, **kwargs)
-        except EncodingError:
-            return 0

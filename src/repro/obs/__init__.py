@@ -15,7 +15,6 @@ from repro.obs.events import (
     EventSink,
     ListSink,
     NullSink,
-    TeeSink,
     WorkerIdentity,
 )
 from repro.obs.store import (
@@ -37,7 +36,6 @@ __all__ = [
     "ResultsStore",
     "StoreAggregates",
     "StoreSink",
-    "TeeSink",
     "WorkerIdentity",
     "downsample",
     "linearize_events",

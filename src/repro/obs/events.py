@@ -16,7 +16,6 @@ emitting code never talks to files or sockets; it talks to an
   home with the slice result).
 - :class:`~repro.obs.store.StoreSink` appends them to a per-writer segment
   file in a durable results store.
-- :class:`TeeSink` fans one emission out to several sinks.
 
 Telemetry is *semantics-free by contract*: no sink may feed information
 back into generation, scheduling or execution, and nothing in the data
@@ -151,12 +150,6 @@ class WorkerIdentity:
         return {"host": self.host, "pid": self.pid, "python": self.python,
                 "started": self.started, "nonce": self.nonce}
 
-    @classmethod
-    def from_dict(cls, record: dict) -> "WorkerIdentity":
-        return cls(host=record["host"], pid=int(record["pid"]),
-                   python=record["python"], started=float(record["started"]),
-                   nonce=record["nonce"])
-
 
 class EventSink:
     """Where instrumented code sends telemetry (see module docstring).
@@ -229,28 +222,3 @@ class ListSink(EventSink):
 
     def __len__(self) -> int:
         return len(self.events)
-
-
-class TeeSink(EventSink):
-    """Fan one emission out to several sinks (e.g. store + live list).
-
-    Disabled sinks are dropped at construction; ``enabled`` reflects
-    whether anything is left, so a tee of null sinks costs what a null
-    sink costs.
-    """
-
-    def __init__(self, *sinks: EventSink) -> None:
-        self.sinks = tuple(s for s in sinks if s.enabled)
-        self.enabled = bool(self.sinks)
-
-    def emit(self, kind: str, /, **data) -> None:
-        for sink in self.sinks:
-            sink.emit(kind, **data)
-
-    def save_coverage(self, key: str, bitmap) -> None:
-        for sink in self.sinks:
-            sink.save_coverage(key, bitmap)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()

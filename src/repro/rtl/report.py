@@ -22,6 +22,18 @@ from repro.rtl.bitset import Bitset
 from repro.rtl.coverage import ConditionCoverage
 
 
+def coverage_percent(covered: int, arms: int) -> float:
+    """Percent of ``arms`` covered, as ``100.0 * (covered / arms)``; 0.0 for
+    an empty universe.
+
+    Every coverage percent goes through here (calculators, the set
+    reference, fleet unions and curves, the store), so two figures built
+    from the same counts compare exactly; ``100.0 * covered / arms`` rounds
+    differently on about a quarter of counts.
+    """
+    return 100.0 * (covered / arms) if arms else 0.0
+
+
 @dataclass(frozen=True)
 class CoverageReport:
     """Coverage outcome of simulating one test input."""
@@ -63,7 +75,7 @@ class CumulativeCoverage:
     """Mutable union of report hits — the "total coverage" accumulator.
 
     Internally one int bitmap + a popcount kept incrementally, so
-    :meth:`merge` is a bitwise OR and the coverage fraction never rescans
+    :meth:`merge` is a bitwise OR and the coverage percent never rescans
     the set.
     """
 
@@ -104,14 +116,8 @@ class CumulativeCoverage:
         return self._count
 
     @property
-    def fraction(self) -> float:
-        if self.total_arms == 0:
-            return 0.0
-        return self._count / self.total_arms
-
-    @property
     def percent(self) -> float:
-        return 100.0 * self.fraction
+        return coverage_percent(self._count, self.total_arms)
 
 
 def disjoint_union_percent(unions: dict[int, int]) -> float:
@@ -122,7 +128,5 @@ def disjoint_union_percent(unions: dict[int, int]) -> float:
     arms summed over universes divided by the arms summed over universes;
     with one universe it is that universe's percent.
     """
-    arms = sum(unions)
-    if not arms:
-        return 0.0
-    return 100.0 * sum(bits.bit_count() for bits in unions.values()) / arms
+    return coverage_percent(sum(bits.bit_count() for bits in unions.values()),
+                            sum(unions))

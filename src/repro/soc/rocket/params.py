@@ -23,7 +23,6 @@ class RocketParams:
     # Latencies, in cycles (the timing model).
     icache_miss_penalty: int = 20
     dcache_miss_penalty: int = 20
-    dirty_evict_penalty: int = 8
     mul_latency: int = 4
     div_latency: int = 20
     mispredict_penalty: int = 3

@@ -10,7 +10,6 @@ from repro.analysis.fleet import (
     dedupe_mismatches,
     fleet_bug_rows,
     fleet_bug_table,
-    fleet_detected_bugs,
 )
 from repro.analysis.fleet import fleet_health_table, fleet_stats_table
 from repro.analysis.report import format_table, store_report
@@ -113,13 +112,6 @@ class TestFleetDedup:
                               ("rd_missing", "mul"))),
         ])
         assert deduped[("rd_missing", "mul")].campaigns == ("solo",)
-
-    def test_fleet_detected_bugs_unions_campaigns(self):
-        results = [
-            campaign("a", mismatch("instr_word", "addi")),
-            campaign("b", mismatch("rd_spurious_x0", "jalr")),
-        ]
-        assert fleet_detected_bugs(results) == {"BUG1", "FINDING3"}
 
     def test_bug_rows_dedupe_and_attribute(self):
         shared = mismatch("rd_missing", "mul")

@@ -162,6 +162,12 @@ class TestShardedExecutor:
             with pytest.raises(ValueError):
                 ShardedExecutor(HarnessFactory("rocket"), n_workers=bad)
 
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_chunk_size_must_be_positive(self, chunk_size):
+        with pytest.raises(ValueError, match="chunk_size"):
+            ShardedExecutor(HarnessFactory("rocket"), n_workers=2,
+                            chunk_size=chunk_size)
+
 
 @fork_only
 class TestFailureModes:

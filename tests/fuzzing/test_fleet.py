@@ -35,7 +35,6 @@ from repro.fuzzing.fleet import (
     CampaignSpec,
     FleetRunner,
     FleetStats,
-    register_generator,
 )
 from repro.fuzzing.scheduler import BanditScheduler, RoundRobin
 from repro.obs.events import ListSink
@@ -62,27 +61,10 @@ class TestCampaignSpec:
             assert clone == spec
 
     def test_unknown_fuzzer_kind(self):
+        # A typo fails where the spec is written, not as a quarantined arm
+        # after its retries inside a worker.
         with pytest.raises(ValueError, match="unknown fuzzer kind"):
-            CampaignSpec("x", fuzzer="nope").build_generator()
-
-    def test_register_generator(self):
-        class Scripted:
-            def __init__(self, seed=0):
-                self.seed = seed
-
-            def generate_batch(self, n):
-                return [[0x13]] * n
-
-        register_generator("scripted-test", Scripted)
-        try:
-            generator = CampaignSpec(
-                "x", fuzzer="scripted-test", seed=3
-            ).build_generator()
-            assert isinstance(generator, Scripted) and generator.seed == 3
-        finally:
-            from repro.fuzzing.fleet import GENERATOR_KINDS
-
-            del GENERATOR_KINDS["scripted-test"]
+            CampaignSpec("x", fuzzer="thehuzzz")
 
     def test_harness_kind_string(self):
         factory = CampaignSpec("x", harness="rocket").harness_factory()
@@ -248,7 +230,7 @@ class TestFleetVsSerialParity:
                 consumed += spec.batch_size
 
         assert result.union_coverage() == reference.hits
-        assert result.union_percent == pytest.approx(reference.percent)
+        assert result.union_percent == reference.percent
 
         for mode in ("rounds", "streaming"):
             with FleetRunner(specs, n_workers=0) as fleet:
@@ -383,15 +365,12 @@ class TestMixedUniverseUnion:
         ]
 
     def test_rewards_result_and_store_count_per_universe(self, tmp_path):
-        from repro.obs.events import TeeSink
         from repro.obs.store import ResultsStore, StoreSink
 
-        events = ListSink()
         store = ResultsStore(tmp_path / "store")
         scheduler = _recording(RoundRobin)()
         with StoreSink(store) as store_sink, FleetRunner(
-                self._specs(), n_workers=0,
-                sink=TeeSink(events, store_sink)) as runner:
+                self._specs(), n_workers=0, sink=store_sink) as runner:
             result = runner.run_scheduled(scheduler, slice_tests=8)
 
         # Each arm's coverage after each of its two slices, run alone.
@@ -417,10 +396,11 @@ class TestMixedUniverseUnion:
 
         covered = sum(c.final_coverage.to_int().bit_count()
                       for c in result.campaigns)
-        union = 100.0 * covered / sum(universes)
+        union = 100.0 * (covered / sum(universes))
         assert result.union_percent == union
         assert f"union coverage {union:.2f}%" in result.summary()
-        finished = [e for e in events.events if e.kind == "fleet_finished"]
+        finished = [e for e in store.read_events()
+                    if e.kind == "fleet_finished"]
         assert finished[0].data["union_percent"] == union
         aggregates = store.aggregate()
         assert aggregates.universe == sum(universes)
@@ -815,14 +795,18 @@ class TestDispatchPin:
     health ledger.  The expected digests were recorded on the runner as
     it stood before ``run()``, rounds and streaming shared one dispatch
     loop.  ``run()``'s ``fleet_started`` event now also names its
-    round-robin scheduler, so that field is left out of its digest.
+    round-robin scheduler, so that field is left out of its digest.  The
+    two round-robin scheduled digests were recorded again when fleet
+    percents moved to :func:`~repro.rtl.report.coverage_percent`: their
+    ``fleet_finished`` union percent moved by one ulp, and their digests
+    without that field did not change.
     """
 
     EXPECTED = {
         "run": "cc3375d99fa27068",
-        ("rounds", "RoundRobin"): "1f4da73ddf273ed5",
+        ("rounds", "RoundRobin"): "4aedff46a5025e84",
         ("rounds", "BanditScheduler"): "2b6129750c9b7dbd",
-        ("streaming", "RoundRobin"): "ba062ab711dcef46",
+        ("streaming", "RoundRobin"): "adc17c696ca0d0d7",
         ("streaming", "BanditScheduler"): "d649ac042d3ecac2",
     }
 

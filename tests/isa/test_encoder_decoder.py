@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.isa.decoder import decode, is_legal
+from repro.isa.decoder import decode
 from repro.isa.encoder import EncodingError, encode
 from repro.isa.instructions import (
     FMT_AMO,
@@ -130,7 +130,6 @@ class TestIllegalWords:
     ])
     def test_not_legal(self, word):
         assert decode(word) is None
-        assert not is_legal(word)
 
     def test_reserved_amo_funct5(self):
         # amoswap.d with funct5 corrupted into a reserved pattern.

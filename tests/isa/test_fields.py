@@ -40,11 +40,11 @@ class TestSignExtension:
 
     @given(st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1))
     def test_roundtrip_64(self, value):
-        assert fields.to_signed(fields.to_unsigned(value)) == value
+        assert fields.sign_extend(fields.to_unsigned(value), 64) == value
 
     @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
     def test_unsigned_roundtrip_64(self, value):
-        assert fields.to_unsigned(fields.to_signed(value)) == value
+        assert fields.to_unsigned(fields.sign_extend(value, 64)) == value
 
     def test_fits_signed(self):
         assert fields.fits_signed(-2048, 12)

@@ -65,6 +65,12 @@ class TestPromptSampler:
             assert 2 <= n_instr <= 5
             assert batch.shape == (4, 1 + 2 * n_instr)  # BOS + halfwords
 
+    def test_bounds_longer_than_every_entry_rejected(self, corpus):
+        tokenizer = HalfwordTokenizer().train(corpus)
+        longest = max(len(entry) for entry in corpus)
+        with pytest.raises(ValueError, match="longest corpus entry"):
+            PromptSampler(corpus, tokenizer, (longest + 1, longest + 2))
+
 
 @pytest.fixture(scope="module")
 def tiny_pipeline():

@@ -1,6 +1,6 @@
 """Event schema golden tests: every kind round-trips with its version tag,
 and the sink protocol honours its cost contract (disabled sinks do nothing,
-tees fan out, payloads may carry a ``kind`` field of their own)."""
+payloads may carry a ``kind`` field of their own)."""
 
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ from repro.obs.events import (
     SCHEMA_VERSION,
     Event,
     ListSink,
-    NullSink,
-    TeeSink,
     WorkerIdentity,
 )
 
@@ -94,8 +92,9 @@ class TestWorkerIdentity:
         assert a.writer_id != b.writer_id
 
     def test_dict_round_trip(self):
+        # The store's worker_started record carries every identity field.
         identity = WorkerIdentity.local()
-        assert WorkerIdentity.from_dict(identity.as_dict()) == identity
+        assert WorkerIdentity(**identity.as_dict()) == identity
 
     def test_writer_id_is_filesystem_safe(self):
         identity = WorkerIdentity(host="we?ird/host:name", pid=12,
@@ -126,17 +125,6 @@ class TestSinks:
         assert sink.events[0].kind == "mismatch_found"
         assert sink.events[0].data["kind"] == "rd_missing"
 
-    def test_tee_drops_disabled_and_fans_out(self):
-        a, b = ListSink(), ListSink()
-        tee = TeeSink(a, NullSink(), b)
-        assert tee.enabled
-        assert len(tee.sinks) == 2
-        tee.emit("pool_rebuilt", layer="fleet", reason="test")
-        assert len(a.events) == len(b.events) == 1
-
-    def test_tee_of_null_sinks_is_disabled(self):
-        assert TeeSink(NullSink(), NullSink()).enabled is False
-
     def test_context_manager_closes(self):
         closed = []
 
@@ -144,6 +132,6 @@ class TestSinks:
             def close(self):
                 closed.append(True)
 
-        with TeeSink(Recording()):
+        with Recording():
             pass
         assert closed == [True]
