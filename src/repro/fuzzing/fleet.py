@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import inspect
 import json
 import os
 import pickle
@@ -101,6 +102,25 @@ def _generator_classes() -> dict[str, type]:
             "random": RandomRegressionGenerator}
 
 
+def _unknown_keywords(cls: type, config: dict) -> list[str]:
+    """The keys of ``config`` that ``cls(seed=..., **config)`` rejects.
+
+    Each key must name a parameter of ``cls.__init__``; one that takes
+    ``**kwargs`` hands the rest to its base class, whose parameters count
+    too.  ``seed`` is the spec's own field, so the config may not set it.
+    """
+    unknown = set(config)
+    for klass in cls.__mro__:
+        if "__init__" not in vars(klass):
+            continue
+        params = inspect.signature(klass.__init__).parameters.values()
+        unknown -= {p.name for p in params
+                    if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
+        if not any(p.kind is p.VAR_KEYWORD for p in params):
+            break
+    return sorted(unknown | ({"seed", "self"} & set(config)))
+
+
 @dataclass(frozen=True)
 class CampaignSpec:
     """Declarative recipe for one campaign arm (fully picklable).
@@ -134,17 +154,25 @@ class CampaignSpec:
 
     def __post_init__(self) -> None:
         # Fail at spec construction, not inside a pool worker mid-run.
-        if self.batch_size < 1:
-            raise ValueError(
-                f"spec {self.name!r}: batch_size must be >= 1, "
-                f"got {self.batch_size}"
-            )
+        for knob in ("batch_size", "budget_tests"):
+            if getattr(self, knob) < 1:
+                raise ValueError(
+                    f"spec {self.name!r}: {knob} must be >= 1, "
+                    f"got {getattr(self, knob)}"
+                )
         kinds = _generator_classes()
-        if self.generator is None and self.fuzzer not in kinds:
-            raise ValueError(
-                f"spec {self.name!r}: unknown fuzzer kind {self.fuzzer!r} "
-                f"(known: {sorted(kinds)}; pass generator= for others)"
-            )
+        if self.generator is None:
+            if self.fuzzer not in kinds:
+                raise ValueError(
+                    f"spec {self.name!r}: unknown fuzzer kind {self.fuzzer!r} "
+                    f"(known: {sorted(kinds)}; pass generator= for others)"
+                )
+            unknown = _unknown_keywords(kinds[self.fuzzer], self.fuzzer_config)
+            if unknown:
+                raise ValueError(
+                    f"spec {self.name!r}: fuzzer_config keys {unknown} are "
+                    f"not parameters of the {self.fuzzer!r} generator"
+                )
         self.harness_factory()
 
     def harness_factory(self) -> HarnessFactory:

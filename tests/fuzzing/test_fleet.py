@@ -99,6 +99,32 @@ class TestCampaignSpec:
         with pytest.raises(ValueError, match="batch_size"):
             CampaignSpec("x", batch_size=batch_size)
 
+    @pytest.mark.parametrize("budget", [0, -4])
+    def test_budget_tests_must_be_positive(self, budget):
+        """A non-positive budget would run as a healthy arm with 0 tests."""
+        with pytest.raises(ValueError, match="budget_tests"):
+            CampaignSpec("x", budget_tests=budget)
+
+    @pytest.mark.parametrize("fuzzer, config", [
+        ("thehuzz", {"body_instrs": 16}),
+        ("random", {"corpus_size": 8}),
+        # DifuzzRTL passes **kwargs on to TheHuzz, whose names count.
+        ("difuzzrtl", {"body_instrs": 16}),
+        ("thehuzz", {"seed": 3}),
+    ])
+    def test_fuzzer_config_keys_must_be_generator_parameters(self, fuzzer,
+                                                             config):
+        """A misspelt key fails where the spec is written, not as a
+        quarantined arm after its retries inside a worker."""
+        with pytest.raises(ValueError, match="fuzzer_config"):
+            CampaignSpec("x", fuzzer=fuzzer, fuzzer_config=config)
+
+    def test_fuzzer_config_accepts_inherited_parameters(self):
+        spec = CampaignSpec("x", fuzzer="difuzzrtl",
+                            fuzzer_config={"body_instructions": 8,
+                                           "corpus_size": 4})
+        assert spec.build_generator().corpus_size == 4
+
     def test_fingerprint_stable_and_discriminating(self):
         one, two = spec_pair()
         assert one.fingerprint() == spec_pair()[0].fingerprint()
