@@ -745,6 +745,10 @@ class _LaneGroup:
             if rounds > guard:  # pragma: no cover - termination backstop
                 raise RuntimeError("batched golden ISS failed to converge")
             self._round(act)
+        # Each peel context's _LaneMemory points back at this group (and
+        # its arena): drop them so the group dies with its last reference
+        # instead of waiting for the cyclic GC.
+        self._ctx.clear()
         return [self._materialize(lane) for lane in range(self.g)]
 
     def _round(self, act) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.golden.exceptions import Trap, select_trap
+from repro.golden.exceptions import Trap
 from repro.golden.memory import SparseMemory
 from repro.golden.state import ArchState
 from repro.golden.trace import MemOp
@@ -62,21 +62,20 @@ _STORE_WIDTH = {"sb": 1, "sh": 2, "sw": 4, "sd": 8}
 
 
 def _check_data_addr(memory: SparseMemory, addr: int, size: int, is_store: bool):
-    """Raise the highest-priority trap for a bad data address, if any."""
-    candidates = []
+    """Raise the highest-priority trap for a bad data address, if any.
+
+    Misaligned outranks access-fault (``EXCEPTION_PRIORITY``), so the checks
+    run in that order.  Each trap is raised where it is built: a local that
+    still held it would form a cycle with its traceback (trap -> traceback
+    -> this frame -> trap), keeping every frame on the stack, each with its
+    ArchState and memory, alive until the cyclic GC ran.
+    """
     if addr % size:
-        candidates.append(
-            Trap(EXC_STORE_MISALIGNED if is_store else EXC_LOAD_MISALIGNED, tval=addr)
-        )
+        raise Trap(EXC_STORE_MISALIGNED if is_store else EXC_LOAD_MISALIGNED,
+                   tval=addr)
     if not memory.is_mapped(addr, size):
-        candidates.append(
-            Trap(
-                EXC_STORE_ACCESS_FAULT if is_store else EXC_LOAD_ACCESS_FAULT,
-                tval=addr,
-            )
-        )
-    if candidates:
-        raise select_trap(candidates)
+        raise Trap(EXC_STORE_ACCESS_FAULT if is_store else EXC_LOAD_ACCESS_FAULT,
+                   tval=addr)
 
 
 def _alu_op(mnemonic: str, a: int, b: int, shamt: int | None = None) -> int:
