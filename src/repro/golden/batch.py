@@ -354,7 +354,7 @@ class _LaneGroup:
         self.res_addr = np.zeros(g, dtype=np.uint64)
         self.csrv = {
             addr: np.full(g, val, dtype=np.uint64)
-            for addr, val in CSRFile()._values.items()
+            for addr, val in CSRFile().values.items()
         }
         self.handler_ok = np.ones(g, dtype=bool)
         self.mtvec_ok = np.ones(g, dtype=bool)  # reset mtvec == TRAP_VECTOR
@@ -471,7 +471,7 @@ class _LaneGroup:
         st.pc = int(self.pc[lane])
         st.priv = int(self.priv[lane])
         st.reservation = int(self.res_addr[lane]) if self.res_valid[lane] else None
-        values = st.csr._values
+        values = st.csr.values
         for addr, vec in self.csrv.items():
             values[addr] = int(vec[lane])
         # The counter CSRs are stored as offsets from ``steps`` (they tick
@@ -492,7 +492,7 @@ class _LaneGroup:
         else:
             self.res_valid[lane] = True
             self.res_addr[lane] = st.reservation
-        values = st.csr._values
+        values = st.csr.values
         for addr, vec in self.csrv.items():
             vec[lane] = values[addr]
         steps = int(self.steps[lane])
@@ -538,7 +538,7 @@ class _LaneGroup:
                 if max_steps - steps < 6:
                     stop = "max_steps"  # budget dies inside the (untraced) handler
                     break
-                values = st.csr._values
+                values = st.csr.values
                 ret = (values[spec.CSR_MEPC] + 4) & spec.WORD_MASK
                 values[spec.CSR_MEPC] = ret
                 values[spec.CSR_MSCRATCH] = ret
@@ -1387,27 +1387,15 @@ class _LaneGroup:
             self.c_ca[lane, :ncol].tolist(),
             self.c_cv[lane, :ncol].tolist(),
         )
-        # Frozen-dataclass construction is the per-entry hot path; a direct
-        # __dict__ swap via object.__setattr__ skips __init__/__setattr__.
-        new = TraceEntry.__new__
-        osa = object.__setattr__
-        entries: list[TraceEntry] = [None] * n  # type: ignore[list-item]
-        i = 0
-        for pc_, w_, pr_, rd_, v_, mk_, ma_, ms_, md_, tc_, tv_, ca_, cv_ in rows:
-            e = new(TraceEntry)
-            osa(e, "__dict__", {
-                "pc": pc_,
-                "instr": w_,
-                "priv": pr_,
-                "rd": rd_ if rd_ else None,
-                "rd_value": v_,
-                "mem": MemOp(ma_, ms_, mk_ == 2, md_) if mk_ else None,
-                "trap_cause": tc_ if tc_ >= 0 else None,
-                "trap_tval": tv_,
-                "csr_write": (ca_, cv_) if ca_ >= 0 else None,
-            })
-            entries[i] = e
-            i += 1
+        entries = [
+            TraceEntry(pc_, w_, pr_, rd_ if rd_ else None, v_,
+                       MemOp(ma_, ms_, mk_ == 2, md_) if mk_ else None,
+                       tc_ if tc_ >= 0 else None, tv_,
+                       (ca_, cv_) if ca_ >= 0 else None)
+            for pc_, w_, pr_, rd_, v_, mk_, ma_, ms_, md_, tc_, tv_, ca_, cv_
+            in rows
+        ]
+        entries.extend([None] * (n - ncol))  # type: ignore[list-item]
         if ov:
             for j, e in ov.items():
                 if j < n:

@@ -26,7 +26,11 @@ class CSRFile:
     """
 
     def __init__(self) -> None:
-        self._values: dict[int, int] = {
+        #: Raw value of each implemented CSR, by address.  The trap
+        #: machinery below, an interpreter step retiring an instruction
+        #: (which advances mcycle/minstret in place) and the lane engines
+        #: read and write it without the access checks.
+        self.values: dict[int, int] = {
             spec.CSR_MSTATUS: MSTATUS_MPP_MASK,  # MPP=M out of reset
             spec.CSR_MISA: spec.MISA_RESET,
             spec.CSR_MIE: 0,
@@ -48,10 +52,10 @@ class CSRFile:
     # -- raw access for the trap machinery (no privilege checks) ------------
 
     def raw_read(self, addr: int) -> int:
-        return self._values.get(addr, 0)
+        return self.values.get(addr, 0)
 
     def raw_write(self, addr: int, value: int) -> None:
-        self._values[addr] = value & spec.WORD_MASK
+        self.values[addr] = value & spec.WORD_MASK
 
     # -- architectural access -------------------------------------------------
 
@@ -59,12 +63,12 @@ class CSRFile:
         """CSR read with privilege / existence checks."""
         self._check_access(addr, priv, instr_bits, for_write=False)
         if addr == spec.CSR_CYCLE:
-            return self._values[spec.CSR_MCYCLE]
+            return self.values[spec.CSR_MCYCLE]
         if addr == spec.CSR_INSTRET:
-            return self._values[spec.CSR_MINSTRET]
+            return self.values[spec.CSR_MINSTRET]
         if addr == spec.CSR_TIME:
-            return self._values[spec.CSR_MCYCLE]  # time == cycle in simulation
-        return self._values[addr]
+            return self.values[spec.CSR_MCYCLE]  # time == cycle in simulation
+        return self.values[addr]
 
     def write(self, addr: int, value: int, priv: int, instr_bits: int = 0) -> None:
         """CSR write with privilege / read-only / WARL handling."""
@@ -84,7 +88,7 @@ class CSRFile:
             value &= ~0b11  # direct mode only
         elif addr == spec.CSR_MEPC:
             value &= ~0b1  # IALIGN=32: low bit always zero
-        self._values[addr] = value
+        self.values[addr] = value
 
     def _check_access(self, addr: int, priv: int, instr_bits: int, for_write: bool):
         implemented = addr in spec.IMPLEMENTED_CSRS or addr in (
@@ -99,39 +103,40 @@ class CSRFile:
         if for_write and spec.csr_is_read_only(addr):
             raise Trap(EXC_ILLEGAL_INSTRUCTION, tval=instr_bits)
         if addr in (spec.CSR_CYCLE, spec.CSR_TIME, spec.CSR_INSTRET):
-            if priv < spec.PRV_M and not self._values[spec.CSR_MCOUNTEREN] & 1:
+            if priv < spec.PRV_M and not self.values[spec.CSR_MCOUNTEREN] & 1:
                 raise Trap(EXC_ILLEGAL_INSTRUCTION, tval=instr_bits)
 
     # -- counters ------------------------------------------------------------
 
     def tick(self, cycles: int = 1, instret: int = 1) -> None:
-        """Advance the hardware counters after a retired instruction."""
-        self._values[spec.CSR_MCYCLE] = (
-            self._values[spec.CSR_MCYCLE] + cycles
+        """Advance the hardware counters (trap entries and timed cycles;
+        a retiring step adds one to each in ``values`` itself)."""
+        self.values[spec.CSR_MCYCLE] = (
+            self.values[spec.CSR_MCYCLE] + cycles
         ) & spec.WORD_MASK
-        self._values[spec.CSR_MINSTRET] = (
-            self._values[spec.CSR_MINSTRET] + instret
+        self.values[spec.CSR_MINSTRET] = (
+            self.values[spec.CSR_MINSTRET] + instret
         ) & spec.WORD_MASK
 
     # -- trap entry / return --------------------------------------------------
 
     def enter_trap(self, cause: int, epc: int, tval: int, priv: int) -> int:
         """Record a trap and return the handler PC. Updates mstatus stack."""
-        self._values[spec.CSR_MCAUSE] = cause
-        self._values[spec.CSR_MEPC] = epc & ~0b1 & spec.WORD_MASK
-        self._values[spec.CSR_MTVAL] = tval & spec.WORD_MASK
-        mstatus = self._values[spec.CSR_MSTATUS]
+        self.values[spec.CSR_MCAUSE] = cause
+        self.values[spec.CSR_MEPC] = epc & ~0b1 & spec.WORD_MASK
+        self.values[spec.CSR_MTVAL] = tval & spec.WORD_MASK
+        mstatus = self.values[spec.CSR_MSTATUS]
         mie = bool(mstatus & MSTATUS_MIE)
         mstatus &= ~(MSTATUS_MIE | MSTATUS_MPIE | MSTATUS_MPP_MASK)
         if mie:
             mstatus |= MSTATUS_MPIE
         mstatus |= priv << MSTATUS_MPP_SHIFT
-        self._values[spec.CSR_MSTATUS] = mstatus
-        return self._values[spec.CSR_MTVEC] & ~0b11
+        self.values[spec.CSR_MSTATUS] = mstatus
+        return self.values[spec.CSR_MTVEC] & ~0b11
 
     def leave_trap(self) -> tuple[int, int]:
         """Execute the mstatus side of MRET; returns (new_priv, return_pc)."""
-        mstatus = self._values[spec.CSR_MSTATUS]
+        mstatus = self.values[spec.CSR_MSTATUS]
         new_priv = (mstatus & MSTATUS_MPP_MASK) >> MSTATUS_MPP_SHIFT
         mpie = bool(mstatus & MSTATUS_MPIE)
         mstatus &= ~(MSTATUS_MIE | MSTATUS_MPIE | MSTATUS_MPP_MASK)
@@ -139,5 +144,5 @@ class CSRFile:
             mstatus |= MSTATUS_MIE
         mstatus |= MSTATUS_MPIE  # MPIE set to 1 on mret
         # MPP set to least-privileged mode (U) after mret.
-        self._values[spec.CSR_MSTATUS] = mstatus
-        return new_priv, self._values[spec.CSR_MEPC]
+        self.values[spec.CSR_MSTATUS] = mstatus
+        return new_priv, self.values[spec.CSR_MEPC]

@@ -19,6 +19,11 @@ from repro.isa.spec import (
 
 _PAGE_SHIFT = 12
 _PAGE_SIZE = 1 << _PAGE_SHIFT
+_PAGE_MASK = _PAGE_SIZE - 1
+
+_DEFAULT_REGIONS = ((DRAM_BASE, DRAM_SIZE),)
+#: Highest word-aligned fetch address inside the default DRAM window.
+_LAST_WORD = DRAM_BASE + DRAM_SIZE - 4
 
 
 class SparseMemory:
@@ -31,9 +36,15 @@ class SparseMemory:
         DRAM window used by the SoC harness.
     """
 
-    def __init__(self, regions: tuple[tuple[int, int], ...] = ((DRAM_BASE, DRAM_SIZE),)):
+    def __init__(self, regions: tuple[tuple[int, int], ...] = _DEFAULT_REGIONS):
         self.regions = tuple(regions)
         self._pages: dict[int, bytearray] = {}
+        #: :meth:`fetch` reads aligned DRAM words straight from their page
+        #: when DRAM is the only window and the pages hold the bytes.  A
+        #: subclass that keeps its bytes elsewhere (overriding
+        #: :meth:`read_bytes`) and any other memory map take the checked path.
+        self._direct_fetch = (self.regions == _DEFAULT_REGIONS
+                              and type(self).read_bytes is SparseMemory.read_bytes)
 
     # -- mapping ------------------------------------------------------------
 
@@ -59,7 +70,7 @@ class SparseMemory:
         offset = 0
         while offset < len(data):
             page = self._page(addr + offset)
-            start = (addr + offset) & (_PAGE_SIZE - 1)
+            start = (addr + offset) & _PAGE_MASK
             chunk = min(_PAGE_SIZE - start, len(data) - offset)
             page[start : start + chunk] = data[offset : offset + chunk]
             offset += chunk
@@ -70,7 +81,7 @@ class SparseMemory:
         offset = 0
         while offset < size:
             page = self._page(addr + offset)
-            start = (addr + offset) & (_PAGE_SIZE - 1)
+            start = (addr + offset) & _PAGE_MASK
             chunk = min(_PAGE_SIZE - start, size - offset)
             out += page[start : start + chunk]
             offset += chunk
@@ -92,6 +103,12 @@ class SparseMemory:
 
     def fetch(self, addr: int) -> int:
         """Fetch a 32-bit instruction word; raises instruction access fault."""
+        if self._direct_fetch and not addr & 3 and DRAM_BASE <= addr <= _LAST_WORD:
+            page = self._pages.get(addr >> _PAGE_SHIFT)
+            if page is None:
+                return 0  # never written: reads as zero
+            offset = addr & _PAGE_MASK
+            return int.from_bytes(page[offset:offset + 4], "little")
         if not self.is_mapped(addr, 4):
             raise Trap(EXC_INSTR_ACCESS_FAULT, tval=addr)
         return int.from_bytes(self.read_bytes(addr, 4), "little")

@@ -13,14 +13,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.golden.exceptions import Trap
-from repro.golden.executor import execute
+from repro.golden.executor import HANDLERS
 from repro.golden.memory import SparseMemory
 from repro.golden.state import ArchState
 from repro.golden.trace import CommitTrace, TraceEntry
 from repro.isa.decoder import decode
 from repro.isa.encoder import encode
 from repro.isa.spec import (
+    CSR_MCYCLE,
     CSR_MEPC,
+    CSR_MINSTRET,
     CSR_MSCRATCH,
     DRAM_BASE,
     EXC_ILLEGAL_INSTRUCTION,
@@ -82,26 +84,23 @@ def step_instruction(
     scalar :class:`GoldenSimulator` loop and the batched engine's lane peel
     (``repro.golden.batch``) both call it, so the hard cases (traps, CSRs,
     atomics, misaligned access) have exactly one implementation.
+
+    A step is a direct fetch (:meth:`SparseMemory.fetch`), a memoized
+    decode, one handler-table dispatch, one :class:`TraceEntry` tuple and
+    an in-place advance of ``mcycle``/``minstret``.
     """
     pc = state.pc
-    in_handler = handler_lo <= pc < handler_hi
-
     word = 0
     try:
         word = memory.fetch(pc)
         instr = decode(word)
         if instr is None:
             raise Trap(EXC_ILLEGAL_INSTRUCTION, tval=word)
-        result = execute(state, memory, instr, pc)
+        result = HANDLERS[instr.spec.mnemonic](state, memory, instr, pc)
     except Trap as trap:
         traps_taken += 1
-        entry = TraceEntry(
-            pc=pc,
-            instr=word,
-            priv=state.priv,
-            trap_cause=trap.cause,
-            trap_tval=trap.tval,
-        )
+        entry = TraceEntry(pc, word, state.priv, None, 0, None, trap.cause,
+                           trap.tval)
         state.reservation = None
         handler_pc = state.csr.enter_trap(trap.cause, pc, trap.tval, state.priv)
         state.priv = PRV_M
@@ -112,19 +111,16 @@ def step_instruction(
         return entry, traps_taken, None
 
     entry = None
-    if not in_handler or config.trace_handler:
-        rd = result.rd if result.rd not in (None, 0) else None
-        entry = TraceEntry(
-            pc=pc,
-            instr=word,
-            priv=state.priv,
-            rd=rd,
-            rd_value=result.rd_value if rd is not None else 0,
-            mem=result.mem,
-            csr_write=result.csr_write,
-        )
+    if config.trace_handler or not handler_lo <= pc < handler_hi:
+        rd = result.rd
+        entry = (TraceEntry(pc, word, state.priv, rd, result.rd_value,
+                            result.mem, None, 0, result.csr_write) if rd
+                 else TraceEntry(pc, word, state.priv, None, 0, result.mem,
+                                 None, 0, result.csr_write))
     state.pc = result.next_pc & WORD_MASK
-    state.csr.tick()
+    counters = state.csr.values
+    counters[CSR_MCYCLE] = (counters[CSR_MCYCLE] + 1) & WORD_MASK
+    counters[CSR_MINSTRET] = (counters[CSR_MINSTRET] + 1) & WORD_MASK
     if result.halt:
         return entry, traps_taken, "wfi"
     return entry, traps_taken, None
@@ -168,15 +164,18 @@ class GoldenSimulator:
         handler_hi = TRAP_VECTOR + 4 * len(trap_handler_image())
         traps_taken = 0
 
-        for _ in range(self.config.max_steps):
+        config = self.config
+        append = trace.entries.append
+        for _ in range(config.max_steps):
             entry, traps_taken, stop = step_instruction(
-                state, memory, self.config, handler_lo, handler_hi, traps_taken
+                state, memory, config, handler_lo, handler_hi, traps_taken
             )
             if entry is not None:
-                trace.append(entry)
+                append(entry)
             if stop is not None:
                 trace.stop_reason = stop
                 break
         else:
             trace.stop_reason = "max_steps"
+        trace.instret = len(trace.entries)
         return trace

@@ -5,15 +5,21 @@ between DUT and golden model.  A :class:`TraceEntry` records exactly those
 per-retired-instruction changes: the register write-back, the memory
 operation, and any trap taken.  Both simulators emit this format so the diff
 is purely structural.
+
+:class:`TraceEntry` and :class:`MemOp` are :class:`typing.NamedTuple`
+records: immutable, compared and hashed field by field, with the
+``Name(field=value, ...)`` repr.  Every interpreter step builds one, and a
+tuple is built in one step where a frozen dataclass sets each field
+through ``object.__setattr__``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class MemOp:
+class MemOp(NamedTuple):
     """One data-memory access performed by a retired instruction."""
 
     addr: int
@@ -26,8 +32,7 @@ class MemOp:
         return f"{kind}[{self.addr:#x},{self.size}]={self.data:#x}"
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """Architectural effects of one retired (or trapping) instruction."""
 
     pc: int

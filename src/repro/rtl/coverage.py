@@ -20,10 +20,12 @@ indexes each pair with the condition's value, ORs the bit (together with
 memoized groups whose outcome is a pure function of one key: the decode
 conditions of an instruction word, the cause comparators of a trap) into
 one local int, and ends the cycle with a single :meth:`record_mask`.
-``RocketCore.step_cycle`` and ``BoomCore.run`` record each cycle this way,
-and the caches, branch predictor and tracer fold each call's group the
-same way.  One OR per group instead of one call per arm is where the
-engine's throughput comes from (see ``benchmarks/test_perf_coverage.py``).
+``RocketCore.step_cycle`` and ``BoomCore.run`` record each cycle this way.
+The caches, branch predictor and tracer build their groups the same way
+but return them, and the core ORs them into its mask, so a cycle costs
+one call however many units it touches.  One OR per group instead of one
+call per arm is where the engine's throughput comes from (see
+``benchmarks/test_perf_coverage.py``).
 
 :meth:`record` is the one-observation primitive (a table lookup and an
 OR).  No core calls it; the tests and the coverage micro-benchmark drive

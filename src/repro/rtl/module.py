@@ -13,8 +13,9 @@ class Module:
     Subclasses declare conditions during ``__init__`` with :meth:`condition`,
     which prebinds each condition's ``(false_bit, true_bit)`` arm pair in
     :attr:`arms`.  At run time a module indexes a pair with the condition's
-    value, ORs the bit into one local mask, and records the mask with a
-    single ``self.cov.record_mask`` per cycle or call.
+    value and ORs the bit into one local mask.  A core records its mask
+    with a single ``self.cov.record_mask`` per cycle; its sub-modules
+    (caches, branch predictor, tracer) return theirs for the core to OR in.
     """
 
     def __init__(self, path: str, cov: ConditionCoverage) -> None:
@@ -48,8 +49,8 @@ class Module:
         """Bitmap contribution of observing ``name`` with ``value``.
 
         For building memoized group masks: OR the bits of a correlated
-        condition group once, then retire the whole group per evaluation
-        with ``self.cov.record_mask(mask)``.
+        condition group once, then OR the whole group into the cycle's mask
+        per evaluation.
         """
         return self.arms[name][1 if value else 0]
 

@@ -1929,28 +1929,18 @@ class _DutLaneGroup(_LaneGroup):
             self.c_ca[lane, :ncol].tolist(),
             self.c_cv[lane, :ncol].tolist(),
         )
-        new = TraceEntry.__new__
-        osa = object.__setattr__
-        entries: list[TraceEntry] = [None] * n  # type: ignore[list-item]
-        i = 0
-        # Same __dict__-swap trick as the golden engine, but rd comes from
-        # the int16 column: the tracer quirks legitimately emit rd=0, which
-        # the golden "rd_ if rd_ else None" encoding cannot represent.
-        for pc_, w_, pr_, rd_, v_, mk_, ma_, ms_, md_, tc_, tv_, ca_, cv_ in rows:
-            e = new(TraceEntry)
-            osa(e, "__dict__", {
-                "pc": pc_,
-                "instr": w_,
-                "priv": pr_,
-                "rd": rd_ if rd_ >= 0 else None,
-                "rd_value": v_,
-                "mem": MemOp(ma_, ms_, mk_ == 2, md_) if mk_ else None,
-                "trap_cause": tc_ if tc_ >= 0 else None,
-                "trap_tval": tv_,
-                "csr_write": (ca_, cv_) if ca_ >= 0 else None,
-            })
-            entries[i] = e
-            i += 1
+        # rd comes from the int16 column: the tracer quirks legitimately
+        # emit rd=0, which the golden "rd_ if rd_ else None" encoding
+        # cannot represent.
+        entries = [
+            TraceEntry(pc_, w_, pr_, rd_ if rd_ >= 0 else None, v_,
+                       MemOp(ma_, ms_, mk_ == 2, md_) if mk_ else None,
+                       tc_ if tc_ >= 0 else None, tv_,
+                       (ca_, cv_) if ca_ >= 0 else None)
+            for pc_, w_, pr_, rd_, v_, mk_, ma_, ms_, md_, tc_, tv_, ca_, cv_
+            in rows
+        ]
+        entries.extend([None] * (n - ncol))  # type: ignore[list-item]
         if ov:
             for j, e in ov.items():
                 if j < n:

@@ -12,7 +12,8 @@ the arm of every condition it evaluates, taken from the prebound
 ``(false_bit, true_bit)`` pairs in :attr:`Module.arms` or from the memoized
 decode group of its word, into one local mask, and records that mask once,
 at retire or at trap entry (where the trap-entry group of its cause joins
-it).  The caches and the branch predictor record their own groups.
+it).  The caches and the branch predictor return their groups' arms, which
+join the same mask.
 
 No bugs are injected here: the paper's bug findings are on RocketCore; BOOM
 carries the fast-saturating coverage claim (97.02% in 49 minutes).
@@ -21,13 +22,15 @@ carries the fast-saturating coverage claim (97.02% in 49 minutes).
 from __future__ import annotations
 
 from repro.golden.exceptions import Trap
-from repro.golden.executor import execute
+from repro.golden.executor import HANDLERS
 from repro.golden.memory import SparseMemory
 from repro.golden.simulator import trap_handler_image
 from repro.golden.state import ArchState
 from repro.golden.trace import CommitTrace, TraceEntry
 from repro.isa.decoder import decode
 from repro.isa.spec import (
+    CSR_MCYCLE,
+    CSR_MINSTRET,
     DRAM_BASE,
     EXC_ILLEGAL_INSTRUCTION,
     EXC_INSTR_ACCESS_FAULT,
@@ -208,15 +211,16 @@ class BoomCore(Module):
                               traps_taken):
                     break
                 continue
-            fb_empty = self.icache.lookup(pc) is None
+            line, mask = self.icache.lookup(pc)
+            fb_empty = line is None
             if fb_empty:
-                self.icache.refill(pc, memory.read_bytes)
+                mask |= self.icache.refill(pc, memory.read_bytes)[1]
                 cycles += self.icache.miss_penalty
-            mask = (arms["frontend.fetch_fault"][False]
-                    | arms["frontend.fb_empty"][fb_empty]
-                    | arms["frontend.fb_full"][rob_occupancy
-                                               >= p.rob_entries - 2])
-            word = memory.load(pc, 4)  # BOOM's I$ snoops stores: always fresh
+            mask |= (arms["frontend.fetch_fault"][False]
+                     | arms["frontend.fb_empty"][fb_empty]
+                     | arms["frontend.fb_full"][rob_occupancy
+                                                >= p.rob_entries - 2])
+            word = memory.fetch(pc)  # BOOM's I$ snoops stores: always fresh
 
             # ---------------- decode / rename --------------------------------
             instr = decode(word)
@@ -285,11 +289,12 @@ class BoomCore(Module):
             # ---------------- execute ----------------------------------------
             predicted = False
             if spec.is_branch:
-                predicted = self.predictor.predict(pc)
+                predicted, predict_arms = self.predictor.predict(pc)
+                mask |= predict_arms
             prv_before = state.priv
             mask |= arms["csr.in_user_mode"][prv_before == PRV_U]
             try:
-                result = execute(state, memory, instr, pc)
+                result = HANDLERS[m](state, memory, instr, pc)
             except Trap as trap:
                 cycles += p.mispredict_penalty
                 traps_taken += 1
@@ -310,9 +315,9 @@ class BoomCore(Module):
 
             if spec.is_branch:
                 taken = result.next_pc != (pc + 4) & WORD_MASK
-                self.predictor.update(pc, taken, predicted)
                 mispredicted = taken != predicted
-                mask |= (arms["execute.br_taken"][taken]
+                mask |= (self.predictor.update(pc, taken, predicted)
+                         | arms["execute.br_taken"][taken]
                          | arms["execute.br_backward"][instr.imm < 0]
                          | arms["rob.flush"][mispredicted])
                 if mispredicted:
@@ -355,12 +360,14 @@ class BoomCore(Module):
                 mask |= (arms["lsu.misaligned"][False]
                          | arms["lsu.access_fault"][False]
                          | arms["lsu.reservation_set"][m.startswith("lr.")])
-                if self.dcache.lookup(addr) is None:
-                    self.dcache.refill(addr, memory.read_bytes)
+                line, lookup_arms = self.dcache.lookup(addr)
+                mask |= lookup_arms
+                if line is None:
+                    mask |= self.dcache.refill(addr, memory.read_bytes)[1]
                     cycles += self.dcache.miss_penalty
                 if result.mem.is_store:
                     data = result.mem.data.to_bytes(result.mem.size, "little")
-                    self.dcache.update_stored_line(addr, data)
+                    mask |= self.dcache.update_stored_line(addr, data)
 
             self.cov.record_mask(
                 mask
@@ -369,17 +376,19 @@ class BoomCore(Module):
                 | arms["csr.wfi"][result.halt])
 
             # ---------------- retire -------------------------------------------
+            rd = result.rd
             if not in_handler:
-                rd = result.rd if result.rd not in (None, 0) else None
-                trace.append(TraceEntry(
-                    pc=pc, instr=word, priv=prv_before, rd=rd,
-                    rd_value=result.rd_value if rd is not None else 0,
-                    mem=result.mem, csr_write=result.csr_write,
-                ))
-            prev_rd = result.rd if result.rd else None
+                trace.append(
+                    TraceEntry(pc, word, prv_before, rd, result.rd_value,
+                               result.mem, None, 0, result.csr_write) if rd
+                    else TraceEntry(pc, word, prv_before, None, 0, result.mem,
+                                    None, 0, result.csr_write))
+            prev_rd = rd if rd else None
             last_stall = cycles - instr_start_cycles
             state.pc = result.next_pc & WORD_MASK
-            state.csr.tick()
+            counters = state.csr.values
+            counters[CSR_MCYCLE] = (counters[CSR_MCYCLE] + 1) & WORD_MASK
+            counters[CSR_MINSTRET] = (counters[CSR_MINSTRET] + 1) & WORD_MASK
             if result.halt:
                 trace.stop_reason = "wfi"
                 break

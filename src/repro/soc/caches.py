@@ -96,10 +96,11 @@ class SetAssocCache(Module):
             # (the I$ is read-only: no such logic, no such cover points).
             self.conditions("evict_dirty", "mark_dirty")
 
-        # Each probe's condition group folds into one record_mask: the
-        # outcome masks are prebuilt per hit way (per-way conditions exist
-        # for the first two ways only) and for a miss, and the refill and
-        # dirty-marking conditions index their pairs in self.arms.
+        # Each probe returns its condition group as one arm mask, which the
+        # core ORs into the cycle's single record: the outcome masks are
+        # prebuilt per hit way (per-way conditions exist for the first two
+        # ways only) and for a miss, and the refill and dirty-marking
+        # conditions index their pairs in self.arms.
         arm = self.arm_bit
         hit = arm("hit", True) | arm("refill", False)
         self._hit_masks = tuple(
@@ -121,23 +122,23 @@ class SetAssocCache(Module):
 
     # -- lookup / fill -----------------------------------------------------------
 
-    def lookup(self, addr: int) -> CacheLine | None:
-        """Probe for a hit, recording the hit/way conditions."""
+    def lookup(self, addr: int) -> tuple[CacheLine | None, int]:
+        """Probe for a hit: the line (None on a miss) and the arms of the
+        hit/way conditions, for the caller to record."""
         line_addr = addr >> self._offset_bits
         tag = line_addr >> self._tag_shift
         for way, line in enumerate(self.lines[line_addr & self._index_mask]):
             if line.valid and line.tag == tag:
-                self.cov.record_mask(self._hit_masks[way])
                 self._lru_clock += 1
                 line.lru = self._lru_clock
-                return line
-        self.cov.record_mask(self._miss_mask)  # a miss starts the refill FSM
-        return None
+                return line, self._hit_masks[way]
+        return None, self._miss_mask  # a miss starts the refill FSM
 
-    def refill(self, addr: int, fetch_line) -> CacheLine:
+    def refill(self, addr: int, fetch_line) -> tuple[CacheLine, int]:
         """Install the line containing ``addr``; ``fetch_line(base, n)`` reads
-        backing memory.  Records refill/eviction conditions and remembers the
-        evicted line's address key in :attr:`last_evicted`."""
+        backing memory.  Returns the line and the arms of the
+        refill/eviction conditions, and remembers the evicted line's address
+        key in :attr:`last_evicted`."""
         index, tag, _ = self._split(addr)
         ways = self.lines[index]
         victim = min(ways, key=_victim_order)
@@ -146,7 +147,6 @@ class SetAssocCache(Module):
                 | arms["evict_valid"][victim.valid])
         if self.writable:
             mask |= arms["evict_dirty"][victim.valid and victim.dirty]
-        self.cov.record_mask(mask)
         if victim.valid:
             self.last_evicted = self._line_base(index, victim.tag) // self.line_bytes
         else:
@@ -158,23 +158,26 @@ class SetAssocCache(Module):
         victim.data = bytes(fetch_line(base, self.line_bytes))
         self._lru_clock += 1
         victim.lru = self._lru_clock
-        return victim
+        return victim, mask
 
-    def update_stored_line(self, addr: int, data: bytes) -> None:
+    def update_stored_line(self, addr: int, data: bytes) -> int:
         """Write ``data`` into a cached copy if present (keeps D$ coherent
-        with the write-through backing store)."""
+        with the write-through backing store); returns the arms of the
+        dirty-marking condition (0 when the line is absent)."""
         if not self.writable:
             raise RuntimeError(f"{self.path} has no store port")
         line = self._peek(addr)
-        if line is not None:
-            _, _, offset = self._split(addr)
-            buf = bytearray(line.data)
-            buf[offset : offset + len(data)] = data
-            line.data = bytes(buf)
-            # The condition is the clean->dirty *transition* (re-dirtying an
-            # already-dirty line evaluates it false).
-            self.cov.record_mask(self.arms["mark_dirty"][not line.dirty])
-            line.dirty = True
+        if line is None:
+            return 0
+        _, _, offset = self._split(addr)
+        buf = bytearray(line.data)
+        buf[offset : offset + len(data)] = data
+        line.data = bytes(buf)
+        # The condition is the clean->dirty *transition* (re-dirtying an
+        # already-dirty line evaluates it false).
+        mask = self.arms["mark_dirty"][not line.dirty]
+        line.dirty = True
+        return mask
 
     def _peek(self, addr: int) -> CacheLine | None:
         """Hit check without recording conditions or touching LRU."""

@@ -29,9 +29,10 @@ class BranchPredictor(Module):
             "update_new_entry",
         )
 
-        # predict() and update() each fold their condition group into one
-        # record_mask: predict's outcomes are prebuilt masks, and update's
-        # conditions index their (false_bit, true_bit) pairs in self.arms.
+        # predict() and update() each return their condition group as one
+        # arm mask, which the core ORs into the cycle's single record:
+        # predict's outcomes are prebuilt masks, and update's conditions
+        # index their (false_bit, true_bit) pairs in self.arms.
         arm = self.arm_bit
         no_hit = arm("btb_hit", False) | arm("pred_taken", False)
         self._empty_mask = no_hit | arm("btb_alias", False)
@@ -48,36 +49,33 @@ class BranchPredictor(Module):
     def _index(self, pc: int) -> int:
         return (pc >> 2) % self.entries
 
-    def predict(self, pc: int) -> bool:
-        """Predict taken/not-taken for the branch at ``pc``."""
+    def predict(self, pc: int) -> tuple[bool, int]:
+        """Predict taken/not-taken for the branch at ``pc``; returns the
+        prediction and the arms of the lookup conditions."""
         entry = self.btb[self._index(pc)]
-        taken = False
         if entry is None:
-            mask = self._empty_mask
-        elif entry["pc"] != pc:
-            mask = self._alias_mask
-        else:
-            taken = entry["ctr"] >= 2
-            mask = self._hit_masks[taken]
-        self.cov.record_mask(mask)
-        return taken
+            return False, self._empty_mask
+        if entry["pc"] != pc:
+            return False, self._alias_mask
+        taken = entry["ctr"] >= 2
+        return taken, self._hit_masks[taken]
 
-    def update(self, pc: int, taken: bool, predicted: bool) -> None:
-        """Train the predictor with the resolved outcome."""
+    def update(self, pc: int, taken: bool, predicted: bool) -> int:
+        """Train the predictor with the resolved outcome; returns the arms
+        of the update conditions."""
         mask = self._mispredict[taken != predicted]
         index = self._index(pc)
         entry = self.btb[index]
         if entry is None or entry["pc"] != pc:
-            self.cov.record_mask(mask | self._new_entry_mask)
             self.btb[index] = {"pc": pc, "ctr": 2 if taken else 1}
-            return
+            return mask | self._new_entry_mask
         if taken:
             entry["ctr"] = ctr = min(3, entry["ctr"] + 1)
         else:
             entry["ctr"] = ctr = max(0, entry["ctr"] - 1)
         old_entry, sat_taken, sat_not_taken = self._update_pairs
-        self.cov.record_mask(mask | old_entry | sat_taken[ctr == 3]
-                             | sat_not_taken[ctr == 0])
+        return (mask | old_entry | sat_taken[ctr == 3]
+                | sat_not_taken[ctr == 0])
 
     def reset(self) -> None:
         super().reset()

@@ -12,8 +12,15 @@ Coverage is recorded once per cycle.  Every condition arm that depends only
 on the instruction word comes precomputed from a bounded per-word table
 (:class:`WordRecord`, shared with the lane engine in ``repro.soc.batch``);
 every data-dependent condition indexes a prebound ``(false_bit, true_bit)``
-pair with its value.  Both are ORed into one local int, and the cycle ends
-with a single :meth:`~repro.rtl.coverage.ConditionCoverage.record_mask`.
+pair with its value.  The I$ probe and refill, the D$ accesses, the branch
+predictor and the tracer return their condition groups' arms instead of
+recording them.  All of it is ORed into one local int, and the cycle ends
+with a single :meth:`~repro.rtl.coverage.ConditionCoverage.record_mask`,
+at retire or at trap entry.
+
+A retiring cycle runs the instruction through the golden executor's
+mnemonic table (:data:`repro.golden.executor.HANDLERS`) and advances
+``mcycle``/``minstret`` in the CSR file's value table directly.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.golden.exceptions import Trap
-from repro.golden.executor import execute
+from repro.golden.executor import HANDLERS
 from repro.golden.memory import SparseMemory
 from repro.golden.simulator import trap_handler_image
 from repro.golden.state import ArchState
@@ -32,6 +39,7 @@ from repro.isa.spec import (
     CSR_INSTRET,
     CSR_MCYCLE,
     CSR_MEPC,
+    CSR_MINSTRET,
     CSR_MSTATUS,
     CSR_TIME,
     DRAM_BASE,
@@ -512,9 +520,10 @@ class RocketCore(Module):
                               EXC_INSTR_ACCESS_FAULT, pc, priv)
         icache = self.icache
         offset = pc & self._line_offset_mask
-        line = icache.lookup(pc)
+        line, mask = icache.lookup(pc)
         if line is None:
-            line = icache.refill(pc, memory.read_bytes)
+            line, refill_arms = icache.refill(pc, memory.read_bytes)
+            mask |= refill_arms
             cycles += icache.miss_penalty
             word = int.from_bytes(line.data[offset:offset + 4], "little")
         elif p.bug1_fencei:
@@ -524,12 +533,12 @@ class RocketCore(Module):
             word = int.from_bytes(line.data[offset:offset + 4], "little")
         else:
             # Clean core: the I$ snoops stores, so always serve fresh memory.
-            word = int.from_bytes(memory.read_bytes(pc, 4), "little")
+            word = memory.fetch(pc)
 
         # ---------------- decode ----------------------------------------
         (instr, meta, _, issue, retire, mem_static, src1, src2, branch,
          ) = self._words.get(word) or self.word_record(word)
-        mask = issue | self._line_cross[offset == self._line_last_word]
+        mask |= issue | self._line_cross[offset == self._line_last_word]
         if instr is None:
             rs.cycles = cycles + p.trap_penalty
             return self._trap(rs, mask, pc, word, EXC_ILLEGAL_INSTRUCTION,
@@ -589,9 +598,10 @@ class RocketCore(Module):
         # ---------------- execute ---------------------------------------
         predicted = False
         if branch is not None:
-            predicted = self.predictor.predict(pc)
+            predicted, predict_arms = self.predictor.predict(pc)
+            mask |= predict_arms
         try:
-            result = execute(state, memory, instr, pc)
+            result = HANDLERS[instr.spec.mnemonic](state, memory, instr, pc)
         except Trap as trap:
             trap = self._adjust_trap_priority(trap, instr, memory)
             cause = trap.cause
@@ -637,7 +647,7 @@ class RocketCore(Module):
 
         if branch is not None:
             taken = next_pc != fall_through
-            self.predictor.update(pc, taken, predicted)
+            mask |= self.predictor.update(pc, taken, predicted)
             if taken != predicted:
                 cycles += p.mispredict_penalty
             counts = rs.branch_taken_counts
@@ -691,11 +701,13 @@ class RocketCore(Module):
             mask |= p_fencei_dirty[dirty]
             self.icache.invalidate_all()
             cycles += p.fencei_penalty
-        self.cov.record_mask(mask)
 
         # ---------------- retire ----------------------------------------
         if not in_handler:
-            rs.trace.append(self.tracer.retire(pc, instr, priv, result))
+            entry, tracer_arms = self.tracer.retire(pc, instr, priv, result)
+            rs.trace.append(entry)
+            mask |= tracer_arms
+        self.cov.record_mask(mask)
         if muldiv:
             rs.muldiv_busy_until = cycles + (
                 p.div_latency if meta & M_DIVLIKE else p.mul_latency)
@@ -705,13 +717,13 @@ class RocketCore(Module):
         )
         rs.cycles = cycles
         state.pc = next_pc & WORD_MASK
-        state.csr.tick()
-        if p.timed_counter_csr:
+        counters = state.csr.values
+        counters[CSR_MCYCLE] = (counters[CSR_MCYCLE] + 1) & WORD_MASK
+        counters[CSR_MINSTRET] = (counters[CSR_MINSTRET] + 1) & WORD_MASK
+        if p.timed_counter_csr and cycles > counters[CSR_MCYCLE]:
             # Expose the timed cycle count through mcycle — realistic,
             # but a false-positive source vs. the untimed golden model.
-            delta = cycles - state.csr.raw_read(CSR_MCYCLE)
-            if delta > 0:
-                state.csr.tick(cycles=delta, instret=0)
+            counters[CSR_MCYCLE] = cycles & WORD_MASK
         if result.halt:
             rs.trace.stop_reason = "wfi"
             return False
@@ -960,20 +972,21 @@ class RocketCore(Module):
                 self._amo_age = 0
         self._amo_age += 1
 
-        line = dcache.lookup(addr)
+        line, lookup_arms = dcache.lookup(addr)
         if line is not None:
             self._hit_streak += 1
         else:
             self._hit_streak = 0
-        mask |= p_streak4[self._hit_streak >= 4]
+        mask |= lookup_arms | p_streak4[self._hit_streak >= 4]
         if line is None:
-            dcache.refill(addr, memory.read_bytes)
+            mask |= dcache.refill(addr, memory.read_bytes)[1]
             if dcache.last_evicted is not None:
                 self._evicted_lines.add(dcache.last_evicted)
             extra += dcache.miss_penalty
         self._prev_load_missed = (meta & M_LOAD) != 0 and line is None
         if is_store:
-            dcache.update_stored_line(addr, op.data.to_bytes(op.size, "little"))
+            mask |= dcache.update_stored_line(
+                addr, op.data.to_bytes(op.size, "little"))
             full = len(store_buffer) >= self.params.store_buffer_depth
             mask |= p_sb_full[full]
             if full:

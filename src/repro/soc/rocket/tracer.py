@@ -35,8 +35,9 @@ class Tracer(Module):
             "x0_amo_quirk",      # Finding2 activation
             "x0_jalr_quirk",     # Finding3 activation
         )
-        # retire() folds the group into one record_mask, indexing each
-        # condition's (false_bit, true_bit) pair with its value.
+        # retire() returns the group as one arm mask for the core's cycle
+        # record, indexing each condition's (false_bit, true_bit) pair with
+        # its value.
         self._pairs = tuple(self.arms[name] for name in (
             "suppress_muldiv", "x0_amo_quirk", "x0_jalr_quirk", "emit_rd"))
 
@@ -50,8 +51,9 @@ class Tracer(Module):
         instr: DecodedInstr,
         priv: int,
         result: ExecResult,
-    ) -> TraceEntry:
-        """Build the trace record for one retired instruction."""
+    ) -> tuple[TraceEntry, int]:
+        """Build the trace record for one retired instruction; returns it
+        with the arms of the tracer's conditions."""
         spec = instr.spec
         p = self.params
         rd: int | None = result.rd if result.rd not in (None, 0) else None
@@ -83,15 +85,8 @@ class Tracer(Module):
             rd_value = (pc + 4) & 0xFFFF_FFFF_FFFF_FFFF
 
         p_suppress, p_amo, p_jalr, p_emit = self._pairs
-        self.cov.record_mask(p_suppress[suppress] | p_amo[amo_quirk]
-                             | p_jalr[jalr_quirk] | p_emit[rd is not None])
         self._prev_was_load = spec.is_load
-        return TraceEntry(
-            pc=pc,
-            instr=instr.raw,
-            priv=priv,
-            rd=rd,
-            rd_value=rd_value,
-            mem=result.mem,
-            csr_write=result.csr_write,
-        )
+        return (TraceEntry(pc, instr.raw, priv, rd, rd_value, result.mem,
+                           None, 0, result.csr_write),
+                p_suppress[suppress] | p_amo[amo_quirk] | p_jalr[jalr_quirk]
+                | p_emit[rd is not None])

@@ -27,19 +27,19 @@ class TestLookupRefill:
     def test_miss_then_hit(self):
         cache, _ = make_cache()
         mem = backing()
-        assert cache.lookup(DRAM_BASE) is None
+        assert cache.lookup(DRAM_BASE)[0] is None
         cache.refill(DRAM_BASE, mem.read_bytes)
-        assert cache.lookup(DRAM_BASE) is not None
+        assert cache.lookup(DRAM_BASE)[0] is not None
 
     def test_same_line_different_offset_hits(self):
         cache, _ = make_cache(line_bytes=32)
         cache.refill(DRAM_BASE, backing().read_bytes)
-        assert cache.lookup(DRAM_BASE + 28) is not None
+        assert cache.lookup(DRAM_BASE + 28)[0] is not None
 
     def test_adjacent_line_misses(self):
         cache, _ = make_cache(line_bytes=32)
         cache.refill(DRAM_BASE, backing().read_bytes)
-        assert cache.lookup(DRAM_BASE + 32) is None
+        assert cache.lookup(DRAM_BASE + 32)[0] is None
 
     def test_refill_copies_backing_data(self):
         cache, _ = make_cache()
@@ -54,8 +54,8 @@ class TestLookupRefill:
         set_span = 8 * 32
         cache.refill(DRAM_BASE, mem.read_bytes)
         cache.refill(DRAM_BASE + set_span, mem.read_bytes)  # same set, way 1
-        assert cache.lookup(DRAM_BASE) is not None
-        assert cache.lookup(DRAM_BASE + set_span) is not None
+        assert cache.lookup(DRAM_BASE)[0] is not None
+        assert cache.lookup(DRAM_BASE + set_span)[0] is not None
 
     def test_third_line_evicts_lru(self):
         cache, _ = make_cache(ways=2, sets=8, line_bytes=32)
@@ -65,8 +65,8 @@ class TestLookupRefill:
         cache.refill(DRAM_BASE + set_span, mem.read_bytes)
         cache.lookup(DRAM_BASE)  # touch way 0 so way 1 becomes LRU
         cache.refill(DRAM_BASE + 2 * set_span, mem.read_bytes)
-        assert cache.lookup(DRAM_BASE) is not None          # kept (MRU)
-        assert cache.lookup(DRAM_BASE + set_span) is None   # evicted
+        assert cache.lookup(DRAM_BASE)[0] is not None          # kept (MRU)
+        assert cache.lookup(DRAM_BASE + set_span)[0] is None   # evicted
         assert cache.last_evicted == (DRAM_BASE + set_span) // 32
 
 
@@ -100,7 +100,7 @@ class TestStalenessAndCoherence:
         cache, _ = make_cache()
         cache.refill(DRAM_BASE, backing().read_bytes)
         cache.invalidate_all()
-        assert cache.lookup(DRAM_BASE) is None
+        assert cache.lookup(DRAM_BASE)[0] is None
 
     def test_reset_clears_state(self):
         cache, _ = make_cache()
@@ -111,12 +111,14 @@ class TestStalenessAndCoherence:
 
 
 class TestCoverageConditions:
+    """Each call returns its condition group's arms; the caller records."""
+
     def test_hit_condition_both_arms(self):
         cache, cov = make_cache()
         mem = backing()
-        cache.lookup(DRAM_BASE)                     # miss -> hit:F
-        cache.refill(DRAM_BASE, mem.read_bytes)
-        cache.lookup(DRAM_BASE)                     # hit:T
+        cov.record_mask(cache.lookup(DRAM_BASE)[1])       # miss -> hit:F
+        cov.record_mask(cache.refill(DRAM_BASE, mem.read_bytes)[1])
+        cov.record_mask(cache.lookup(DRAM_BASE)[1])       # hit:T
         names = {cov.arm_name(a) for a in cov.run_hits}
         assert "c.hit:F" in names
         assert "c.hit:T" in names
@@ -125,10 +127,19 @@ class TestCoverageConditions:
         cache, cov = make_cache(ways=1, sets=1, line_bytes=32)
         mem = backing()
         cache.refill(DRAM_BASE, mem.read_bytes)
-        cache.update_stored_line(DRAM_BASE, b"\x01")
-        cache.refill(DRAM_BASE + 32, mem.read_bytes)  # evicts the dirty line
+        cov.record_mask(cache.update_stored_line(DRAM_BASE, b"\x01"))
+        # Refilling another line evicts the dirty one.
+        cov.record_mask(cache.refill(DRAM_BASE + 32, mem.read_bytes)[1])
         names = {cov.arm_name(a) for a in cov.run_hits}
         assert "c.evict_dirty:T" in names
+        assert "c.mark_dirty:T" in names
+
+    def test_calls_record_nothing_themselves(self):
+        cache, cov = make_cache()
+        cache.lookup(DRAM_BASE)
+        cache.refill(DRAM_BASE, backing().read_bytes)
+        cache.update_stored_line(DRAM_BASE, b"\x01")
+        assert cov.run_bits() == 0
 
 
 class TestGeometry:
