@@ -113,12 +113,12 @@ def _unknown_keywords(cls: type, config: dict) -> list[str]:
     for klass in cls.__mro__:
         if "__init__" not in vars(klass):
             continue
-        params = inspect.signature(klass.__init__).parameters.values()
+        _, *params = inspect.signature(klass.__init__).parameters.values()
         unknown -= {p.name for p in params
                     if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
         if not any(p.kind is p.VAR_KEYWORD for p in params):
             break
-    return sorted(unknown | ({"seed", "self"} & set(config)))
+    return sorted(unknown | ({"seed"} & set(config)))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ architectural effects as an :class:`ExecResult`.  It raises
 simultaneous candidates with the privileged-spec priority (misaligned above
 access-fault — the ordering the paper's Finding1 shows RocketCore violating).
 
-Dispatch is one lookup in :data:`HANDLERS`, a table from mnemonic to a
+Dispatch is one lookup in ``_HANDLERS``, a table from mnemonic to a
 handler that holds that instruction's whole semantics, in the style of
 Spike's per-instruction functions.  The handlers are built per instruction
 class by small factories (register-register, register-immediate, load,
@@ -15,9 +15,7 @@ store, AMO, CSR) around the operation itself, so a step pays one dict
 lookup instead of walking a chain of mnemonic compares.  The table is
 keyed by mnemonic rather than by instruction word: a per-word table of
 closures over the decoded fields costs memory for every distinct word a
-campaign fetches and is no faster.  The interpreters' step loops (golden,
-Rocket, BOOM) index :data:`HANDLERS` themselves; :func:`execute` is the
-same lookup for one-off callers.
+campaign fetches and is no faster.
 
 The SoC models reuse these semantics for functional execution and wrap them
 with microarchitectural state machines, so ISA correctness lives in exactly
@@ -255,16 +253,13 @@ def _shift_imm(op: Callable[[int, int], int]) -> Handler:
     return run
 
 
-def _upper(pc_relative: bool) -> Handler:
-    """lui / auipc."""
-    def run(state, memory, instr, pc):
-        value = ((pc if pc_relative else 0) + instr.imm) & WORD_MASK
-        rd = instr.rd
-        if rd:
-            state.regs[rd] = value
-            return ExecResult((pc + 4) & WORD_MASK, rd, value)
-        return ExecResult((pc + 4) & WORD_MASK, rd)
-    return run
+def _auipc(state, memory, instr, pc):
+    value = (pc + instr.imm) & WORD_MASK
+    rd = instr.rd
+    if rd:
+        state.regs[rd] = value
+        return ExecResult((pc + 4) & WORD_MASK, rd, value)
+    return ExecResult((pc + 4) & WORD_MASK, rd)
 
 
 def _jal(state, memory, instr, pc):
@@ -454,7 +449,8 @@ def _fence(state, memory, instr, pc):
 
 def _handlers() -> dict[str, Handler]:
     table: dict[str, Handler] = {
-        "lui": _upper(False), "auipc": _upper(True),
+        # U-format decodes rs1 as x0, so lui is "add the immediate to x0".
+        "lui": _reg_imm(_OPS["add"]), "auipc": _auipc,
         "jal": _jal, "jalr": _jalr,
         "ecall": _ecall, "ebreak": _ebreak, "mret": _mret, "wfi": _wfi,
         "fence": _fence, "fence.i": _fence,
@@ -482,7 +478,7 @@ def _handlers() -> dict[str, Handler]:
 
 
 #: Mnemonic -> handler, one entry per implemented instruction.
-HANDLERS: dict[str, Handler] = _handlers()
+_HANDLERS: dict[str, Handler] = _handlers()
 
 
 def execute(
@@ -497,4 +493,4 @@ def execute(
     trap entry and tracing; this function only performs the instruction's own
     architectural semantics.
     """
-    return HANDLERS[instr.spec.mnemonic](state, memory, instr, pc)
+    return _HANDLERS[instr.spec.mnemonic](state, memory, instr, pc)

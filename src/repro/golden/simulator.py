@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.golden.exceptions import Trap
-from repro.golden.executor import HANDLERS
+from repro.golden.executor import execute
 from repro.golden.memory import SparseMemory
 from repro.golden.state import ArchState
 from repro.golden.trace import CommitTrace, TraceEntry
@@ -86,8 +86,9 @@ def step_instruction(
     atomics, misaligned access) have exactly one implementation.
 
     A step is a direct fetch (:meth:`SparseMemory.fetch`), a memoized
-    decode, one handler-table dispatch, one :class:`TraceEntry` tuple and
-    an in-place advance of ``mcycle``/``minstret``.
+    decode, one handler-table dispatch in :func:`execute`, one
+    :class:`TraceEntry` tuple and an in-place advance of
+    ``mcycle``/``minstret``.
     """
     pc = state.pc
     word = 0
@@ -96,7 +97,7 @@ def step_instruction(
         instr = decode(word)
         if instr is None:
             raise Trap(EXC_ILLEGAL_INSTRUCTION, tval=word)
-        result = HANDLERS[instr.spec.mnemonic](state, memory, instr, pc)
+        result = execute(state, memory, instr, pc)
     except Trap as trap:
         traps_taken += 1
         entry = TraceEntry(pc, word, state.priv, None, 0, None, trap.cause,
@@ -112,11 +113,10 @@ def step_instruction(
 
     entry = None
     if config.trace_handler or not handler_lo <= pc < handler_hi:
-        rd = result.rd
-        entry = (TraceEntry(pc, word, state.priv, rd, result.rd_value,
-                            result.mem, None, 0, result.csr_write) if rd
-                 else TraceEntry(pc, word, state.priv, None, 0, result.mem,
-                                 None, 0, result.csr_write))
+        rd = result.rd or None  # x0 write-backs are not traced
+        entry = TraceEntry(pc, word, state.priv, rd,
+                           result.rd_value if rd else 0, result.mem, None, 0,
+                           result.csr_write)
     state.pc = result.next_pc & WORD_MASK
     counters = state.csr.values
     counters[CSR_MCYCLE] = (counters[CSR_MCYCLE] + 1) & WORD_MASK

@@ -22,7 +22,7 @@ carries the fast-saturating coverage claim (97.02% in 49 minutes).
 from __future__ import annotations
 
 from repro.golden.exceptions import Trap
-from repro.golden.executor import HANDLERS
+from repro.golden.executor import execute
 from repro.golden.memory import SparseMemory
 from repro.golden.simulator import trap_handler_image
 from repro.golden.state import ArchState
@@ -294,7 +294,7 @@ class BoomCore(Module):
             prv_before = state.priv
             mask |= arms["csr.in_user_mode"][prv_before == PRV_U]
             try:
-                result = HANDLERS[m](state, memory, instr, pc)
+                result = execute(state, memory, instr, pc)
             except Trap as trap:
                 cycles += p.mispredict_penalty
                 traps_taken += 1
@@ -376,14 +376,12 @@ class BoomCore(Module):
                 | arms["csr.wfi"][result.halt])
 
             # ---------------- retire -------------------------------------------
-            rd = result.rd
+            rd = result.rd or None  # x0 write-backs are not traced
             if not in_handler:
-                trace.append(
-                    TraceEntry(pc, word, prv_before, rd, result.rd_value,
-                               result.mem, None, 0, result.csr_write) if rd
-                    else TraceEntry(pc, word, prv_before, None, 0, result.mem,
-                                    None, 0, result.csr_write))
-            prev_rd = rd if rd else None
+                trace.append(TraceEntry(
+                    pc, word, prv_before, rd, result.rd_value if rd else 0,
+                    result.mem, None, 0, result.csr_write))
+            prev_rd = rd
             last_stall = cycles - instr_start_cycles
             state.pc = result.next_pc & WORD_MASK
             counters = state.csr.values

@@ -18,9 +18,8 @@ recording them.  All of it is ORed into one local int, and the cycle ends
 with a single :meth:`~repro.rtl.coverage.ConditionCoverage.record_mask`,
 at retire or at trap entry.
 
-A retiring cycle runs the instruction through the golden executor's
-mnemonic table (:data:`repro.golden.executor.HANDLERS`) and advances
-``mcycle``/``minstret`` in the CSR file's value table directly.
+A retiring cycle advances ``mcycle``/``minstret`` in the CSR file's value
+table directly rather than through ``CSRFile.tick``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.golden.exceptions import Trap
-from repro.golden.executor import HANDLERS
+from repro.golden.executor import execute
 from repro.golden.memory import SparseMemory
 from repro.golden.simulator import trap_handler_image
 from repro.golden.state import ArchState
@@ -601,7 +600,7 @@ class RocketCore(Module):
             predicted, predict_arms = self.predictor.predict(pc)
             mask |= predict_arms
         try:
-            result = HANDLERS[instr.spec.mnemonic](state, memory, instr, pc)
+            result = execute(state, memory, instr, pc)
         except Trap as trap:
             trap = self._adjust_trap_priority(trap, instr, memory)
             cause = trap.cause
