@@ -109,8 +109,8 @@ class CSRFile:
     # -- counters ------------------------------------------------------------
 
     def tick(self, cycles: int = 1, instret: int = 1) -> None:
-        """Advance the hardware counters (trap entries and timed cycles;
-        a retiring step adds one to each in ``values`` itself)."""
+        """Advance the hardware counters.  Trap entries call this; a
+        retiring step adds one to each in :attr:`values` itself."""
         self.values[spec.CSR_MCYCLE] = (
             self.values[spec.CSR_MCYCLE] + cycles
         ) & spec.WORD_MASK

@@ -96,3 +96,37 @@ class TestProgramLoading:
         mem.load_program([0x11223344, 0xAABBCCDD], DRAM_BASE)
         assert mem.fetch(DRAM_BASE) == 0x11223344
         assert mem.fetch(DRAM_BASE + 4) == 0xAABBCCDD
+
+
+class TestFetch:
+    """Aligned DRAM fetches read the page directly; every other fetch
+    takes the checked path, and both give the bytes a load would."""
+
+    def test_direct_and_checked_fetches_agree(self):
+        mem = SparseMemory()
+        mem.write_bytes(DRAM_BASE + 0xFFC, bytes(range(1, 9)))  # spans pages
+        for addr in (DRAM_BASE + 0xFFC, DRAM_BASE + 0xFFE, DRAM_BASE + 0x1000,
+                     DRAM_BASE + 0x2000):
+            assert mem.fetch(addr) == mem.load(addr, 4)
+
+    def test_last_dram_word_is_fetchable(self):
+        mem = SparseMemory()
+        last = DRAM_BASE + DRAM_SIZE - 4
+        mem.write_bytes(last, (0x13).to_bytes(4, "little"))
+        assert mem.fetch(last) == 0x13
+        with pytest.raises(Trap):
+            mem.fetch(last + 2)
+
+    def test_other_memory_maps_stay_checked(self):
+        mem = SparseMemory(regions=((0x1000, 0x100),))
+        mem.write_bytes(0x1000, (0x6F).to_bytes(4, "little"))
+        assert mem.fetch(0x1000) == 0x6F
+        with pytest.raises(Trap):
+            mem.fetch(DRAM_BASE)
+
+    def test_subclass_with_its_own_bytes_stays_checked(self):
+        class Shadow(SparseMemory):
+            def read_bytes(self, addr, size):
+                return b"\x13\x00\x00\x00"[:size]
+
+        assert Shadow().fetch(DRAM_BASE) == 0x13
