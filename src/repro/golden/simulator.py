@@ -5,6 +5,31 @@ run it to completion, emit a commit log.  A small machine-code trap handler
 (the same image the SoC harness installs) skips over faulting instructions so
 that a single bad instruction does not end the test — the behaviour hardware
 fuzzers rely on to keep exploring past exceptions.
+
+Steady-loop replay
+------------------
+Many generated bodies settle into a loop whose whole state repeats and then
+spin until ``max_steps``.  :meth:`GoldenSimulator.run` appends the rest of
+such a run instead of interpreting it.  At each backward control transfer
+outside the trap handler the loop looks the state up by its key
+``(pc, priv, reservation, registers)`` (:func:`steady_period`).  When the
+key comes back twice with the same period ``P``, every step of both periods
+is traced, the two periods hold identical trace entries, and no instruction
+in them traps, touches a CSR, is a system instruction, an AMO/LR/SC or a
+fence, then every later period repeats the last one.  The run appends that
+period's entries once per whole period left, advances ``mcycle`` and
+``minstret`` by the skipped steps, and steps the tail to ``max_steps``.
+
+Why this is exact: the registers, pc, privilege and reservation at the two
+loop heads are equal by the key.  Memory is equal too: the first period
+left every byte it stored holding its last stored value, and the second
+period stored the same bytes in the same order, so it changed nothing.  No
+instruction in the period reads or writes a CSR or traps, so the CSRs
+differ at most in the two counters, which nothing in the period reads.  A
+deterministic machine started twice from the same state runs the same
+period again, so its trace, stop reason and ``instret`` equal stepping's.
+:func:`step_instruction` itself is unchanged and still takes every step
+the run interprets; the lane engine peels to it.
 """
 
 from __future__ import annotations
@@ -126,6 +151,49 @@ def step_instruction(
     return entry, traps_taken, None
 
 
+def _replayable(entry: TraceEntry) -> bool:
+    """True when ``entry`` may be part of a replayed period: it did not
+    trap, and its instruction is no CSR, system, AMO/LR/SC or fence."""
+    if entry.trap_cause is not None:
+        return False
+    spec = decode(entry.instr).spec
+    return not (spec.is_csr or spec.is_system or spec.is_amo
+                or spec.is_fence)
+
+
+def steady_period(heads: dict, key: tuple, steps: int,
+                  entries: list[TraceEntry]) -> int:
+    """Record that a run is at a loop head with state ``key`` after
+    ``steps`` steps, having traced ``entries``.
+
+    ``heads`` maps each key the run has passed to ``(step, trace length,
+    period)``.  Returns the period when the key came back twice with that
+    period, both periods are fully traced with identical entries, and
+    every entry is replayable (see the module docstring); else 0.  A key
+    whose periods repeat but cannot be replayed is never checked again.
+    """
+    n = len(entries)
+    seen = heads.get(key)
+    if seen is None:
+        heads[key] = (steps, n, 0)
+        return 0
+    last_step, last_n, last_period = seen
+    if last_period is None:
+        return 0
+    period = steps - last_step
+    if n - last_n != period:
+        period = 0  # a handler step went untraced
+    elif period == last_period and (entries[n - 2 * period:n - period]
+                                    == entries[n - period:]):
+        if not all(map(_replayable, entries[n - period:])):
+            heads[key] = (steps, n, None)
+            return 0
+        heads[key] = (steps, n, period)
+        return period
+    heads[key] = (steps, n, period)
+    return 0
+
+
 @dataclass
 class SimConfig:
     """Execution limits and trace policy for one simulation run."""
@@ -159,21 +227,53 @@ class GoldenSimulator:
         return self._run_loop(state, memory)
 
     def _run_loop(self, state: ArchState, memory: SparseMemory) -> CommitTrace:
+        """Step ``state`` to a stop reason, replaying steady loops (see the
+        module docstring)."""
         trace = CommitTrace()
         handler_lo = TRAP_VECTOR
         handler_hi = TRAP_VECTOR + 4 * len(trap_handler_image())
         traps_taken = 0
 
         config = self.config
-        append = trace.entries.append
-        for _ in range(config.max_steps):
-            entry, traps_taken, stop = step_instruction(
+        max_steps = config.max_steps
+        step = step_instruction
+        entries = trace.entries
+        append = entries.append
+        heads: dict = {}
+        head_traps = 0  # trap count at the last loop head
+        for steps in range(1, max_steps + 1):
+            entry, traps_taken, stop = step(
                 state, memory, config, handler_lo, handler_hi, traps_taken
             )
             if entry is not None:
                 append(entry)
             if stop is not None:
                 trace.stop_reason = stop
+                break
+            # Loop heads follow backward transfers outside the handler.
+            if (entry is None or state.pc > entry.pc
+                    or handler_lo <= entry.pc < handler_hi):
+                continue
+            if traps_taken != head_traps:
+                # A trap since the last loop head: no period ending here
+                # can be replayed, so skip building the key.
+                head_traps = traps_taken
+                continue
+            period = steady_period(
+                heads, (state.pc, state.priv, state.reservation, *state.regs),
+                steps, entries)
+            if period:
+                passes, tail = divmod(max_steps - steps, period)
+                entries.extend(entries[-period:] * passes)
+                counters = state.csr.values
+                for csr in (CSR_MCYCLE, CSR_MINSTRET):
+                    counters[csr] = (counters[csr] + passes * period) & WORD_MASK
+                # The tail repeats the period's first steps, which neither
+                # stop the run nor go untraced.
+                for _ in range(tail):
+                    append(step(state, memory, config, handler_lo, handler_hi,
+                                traps_taken)[0])
+                trace.stop_reason = "max_steps"
                 break
         else:
             trace.stop_reason = "max_steps"

@@ -199,6 +199,18 @@ class SetAssocCache(Module):
         _, _, offset = self._split(addr)
         return line.data[offset : offset + size]
 
+    def steady_state(self) -> tuple:
+        """The state later accesses can read, for the steady-loop key: each
+        line's valid, dirty, tag and data, and each set's ways in LRU order
+        (refill picks its victim from that order, and an access moves its
+        way to the end, so the stamps themselves never matter)."""
+        return tuple(
+            (tuple((line.valid, line.dirty, line.tag, line.data)
+                   for line in ways),
+             tuple(sorted(range(self.ways), key=lambda way: ways[way].lru)))
+            for ways in self.lines
+        )
+
     def invalidate_all(self) -> None:
         """FENCE.I / reset: drop every line."""
         for ways in self.lines:

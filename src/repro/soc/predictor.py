@@ -77,6 +77,12 @@ class BranchPredictor(Module):
         return (mask | old_entry | sat_taken[ctr == 3]
                 | sat_not_taken[ctr == 0])
 
+    def steady_state(self) -> tuple:
+        """Every BTB entry's branch pc and counter (None when empty), for
+        the steady-loop key."""
+        return tuple(None if entry is None else (entry["pc"], entry["ctr"])
+                     for entry in self.btb)
+
     def reset(self) -> None:
         super().reset()
         self.btb = [None] * self.entries

@@ -20,6 +20,31 @@ at retire or at trap entry.
 
 A retiring cycle advances ``mcycle``/``minstret`` in the CSR file's value
 table directly rather than through ``CSRFile.tick``.
+
+Steady-loop replay
+------------------
+:meth:`RocketCore.run` replays a steady loop as the golden model does
+(the :mod:`repro.golden.simulator` docstring gives the rule and the
+argument for the architectural state and memory).  Rocket adds a second
+key, :meth:`RocketCore._steady_state`: everything a later cycle can read.
+That is both caches' lines (valid, dirty, tag, data: Bug1 serves stale I$
+lines) with the LRU order within each set, the BTB, the store buffer, the
+previous two write-backs, the link stack, the branch and CSR trackers, the
+tracer's ``_prev_was_load``, the D$ trackers and the CSRs other than
+``mcycle``/``minstret``.  Each counter is saturated at the threshold the
+core compares it with (``LOOP_TAKEN`` and its neighbours below), and
+``muldiv_busy_until`` is taken relative to ``cycles``.  Coverage needs no
+key: a repeated period records the arms it already recorded.
+
+Replay starts when a replayable period ends at a loop head whose key pair
+equals the one a period earlier.  From there every period is the same
+cycle by cycle, so the run appends the whole periods left before
+``max_steps``.  It adds their steps to ``iterations``, their entries to
+``instret``, and their cycles to ``cycles`` and ``muldiv_busy_until``,
+then steps the tail.  If ``SETTLE_MISSES`` replayable periods pass whose
+microarchitectural state still differs from one period earlier, the run
+stops looking.  :meth:`step_cycle`, :meth:`begin_run` and
+:meth:`finish_run` are unchanged, and the lane engine peels to them.
 """
 
 from __future__ import annotations
@@ -29,7 +54,7 @@ from typing import NamedTuple
 from repro.golden.exceptions import Trap
 from repro.golden.executor import execute
 from repro.golden.memory import SparseMemory
-from repro.golden.simulator import trap_handler_image
+from repro.golden.simulator import steady_period, trap_handler_image
 from repro.golden.state import ArchState
 from repro.golden.trace import CommitTrace, TraceEntry
 from repro.isa.decoder import DecodedInstr, decode
@@ -110,6 +135,29 @@ M_WRSP = 1 << 43       # writes_rd and rd == sp
 #: Entries of the per-word table before it is cleared and rebuilt from the
 #: hot working set (the decoder's own cache bound).
 WORD_TABLE_CAP = 65536
+
+# -- counter thresholds ---------------------------------------------------------
+#
+# Each run counter below is read only through a compare with its threshold,
+# so the steady-loop key (RocketCore._steady_state) saturates it there: two
+# loop heads whose counts differ only at or above the threshold run alike.
+
+#: frontend.loop_iteration: the same branch taken this many times.
+LOOP_TAKEN = 2
+#: mem.line_reuse3: a D$ line touched this many times (mem.set_thrash
+#: compares the same counts with 2, below it).
+LINE_REUSE = 3
+#: mem.hit_streak4: this many D$ hits in a row.
+HIT_STREAK = 4
+#: hazard.chain5: a dependency chain this deep (hazard.chain3 compares the
+#: same count with 3, below it).
+DEEP_CHAIN = 5
+#: mem.amo_chain: an AMO result feeds the next AMO only while fewer than
+#: this many memory accesses have passed.
+AMO_AGE = 5
+#: Replayable periods whose microarchitectural state may differ from one
+#: period earlier before a run stops looking for steady loops.
+SETTLE_MISSES = 8
 
 
 def _word_meta(ins: DecodedInstr) -> int:
@@ -427,11 +475,101 @@ class RocketCore(Module):
     # ------------------------------------------------------------------ run --
 
     def run(self, program: list[int], base: int = DRAM_BASE) -> tuple[CommitTrace, CoverageReport]:
-        """Simulate one test program; returns (commit trace, coverage report)."""
+        """Simulate one test program; returns (commit trace, coverage report).
+
+        Steps :meth:`step_cycle` to a stop reason, replaying a steady loop
+        instead of stepping it (see the module docstring).
+        """
         rs = self.begin_run(program, base)
-        while self.step_cycle(rs):
-            pass
+        step = self.step_cycle
+        state = rs.state
+        entries = rs.trace.entries
+        handler_lo, handler_hi = rs.handler_lo, rs.handler_hi
+        heads: dict | None = {}
+        #: loop-head key -> (steady state, cycles, step) at its last
+        #: replayable pass.
+        settled: dict[tuple, tuple] = {}
+        head_traps = 0  # trap count at the last loop head
+        misses = 0
+        while True:
+            pc = state.pc
+            if not step(rs):
+                break
+            if state.pc > pc or heads is None or handler_lo <= pc < handler_hi:
+                continue
+            if rs.traps_taken != head_traps:
+                # A trap since the last loop head: no period ending here
+                # can be replayed, so skip building the key.
+                head_traps = rs.traps_taken
+                continue
+            key = (state.pc, state.priv, state.reservation, *state.regs)
+            steps = rs.iterations
+            period = steady_period(heads, key, steps, entries)
+            if not period:
+                continue
+            steady = self._steady_state(rs)
+            last = settled.get(key)
+            if (last is not None and last[2] == steps - period
+                    and last[0] == steady):
+                self._replay(rs, period, rs.cycles - last[1])
+                heads = None  # less than one period is left
+                continue
+            misses += 1
+            if misses > SETTLE_MISSES:
+                heads = None  # the state does not settle: step to the end
+            settled[key] = (steady, rs.cycles, steps)
         return self.finish_run(rs)
+
+    def _steady_state(self, rs: RunState) -> tuple:
+        """What a later cycle can read beyond the loop key: the canonical
+        microarchitectural state the steady-loop replay compares.
+
+        The caches give their lines and per-set LRU order, counters are
+        saturated at the thresholds the core compares them with, and
+        ``muldiv_busy_until`` is taken relative to ``cycles``, saturated
+        where it is more than ``mul_latency`` cycles past (no compare can
+        tell such values apart).  The CSRs are there without
+        ``mcycle``/``minstret``.
+        """
+        counters = (CSR_MCYCLE, CSR_MINSTRET)
+        return (
+            self.icache.steady_state(), self.dcache.steady_state(),
+            self.predictor.steady_state(), self.tracer._prev_was_load,
+            tuple(rs.store_buffer), rs.prev1, rs.prev2, tuple(rs.link_stack),
+            rs.ra_saved, frozenset(rs.csrs_written),
+            {pc: min(n, LOOP_TAKEN)
+             for pc, n in rs.branch_taken_counts.items()},
+            {pc: frozenset(seen) for pc, seen in rs.branch_outcomes.items()},
+            min(rs.dep_chain, DEEP_CHAIN), rs.prev_wrote_sp,
+            rs.last_muldiv_was_mul, rs.prev_was_cmp_rd,
+            max(rs.muldiv_busy_until - rs.cycles,
+                -max(self.params.mul_latency, 0)),
+            min(self._hit_streak, HIT_STREAK), self._last_line,
+            {line: min(n, LINE_REUSE)
+             for line, n in self._line_touches.items()},
+            frozenset(self._evicted_lines), self._last_store_addr,
+            frozenset(self._sp_slots), self._resv_addr, self._resv_broken,
+            self._amo_rd, min(self._amo_age, AMO_AGE), self._prev_load_missed,
+            [(addr, value) for addr, value in rs.state.csr.values.items()
+             if addr not in counters],
+        )
+
+    def _replay(self, rs: RunState, period: int, period_cycles: int) -> None:
+        """Append the whole periods of a steady loop left before
+        ``max_steps``; each took ``period`` steps and ``period_cycles``."""
+        passes = (self.params.max_steps - rs.iterations) // period
+        skipped = passes * period
+        trace = rs.trace
+        trace.entries.extend(trace.entries[-period:] * passes)
+        trace.instret += skipped
+        rs.iterations += skipped
+        rs.cycles += passes * period_cycles
+        rs.muldiv_busy_until += passes * period_cycles
+        counters = rs.state.csr.values
+        counters[CSR_MCYCLE] = (counters[CSR_MCYCLE] + skipped) & WORD_MASK
+        counters[CSR_MINSTRET] = (counters[CSR_MINSTRET] + skipped) & WORD_MASK
+        if self.params.timed_counter_csr and rs.cycles > counters[CSR_MCYCLE]:
+            counters[CSR_MCYCLE] = rs.cycles & WORD_MASK
 
     def begin_run(self, program: list[int], base: int = DRAM_BASE,
                   memory: SparseMemory | None = None) -> RunState:
@@ -572,7 +710,7 @@ class RocketCore(Module):
             | h_load_use[load_use]
             | h_muldiv[muldiv_stall]
             | h_chain3[dep_chain >= 3]
-            | h_chain5[dep_chain >= 5]
+            | h_chain5[dep_chain >= DEEP_CHAIN]
             | h_sp_use[rs.prev_wrote_sp and src1 == 2]
             | h_lu_miss[load_use and self._prev_load_missed]
         )
@@ -658,7 +796,7 @@ class RocketCore(Module):
             p_loop, p_both_ways, p_after_cmp = self._branch_pairs
             mask |= (
                 branch[taken]
-                | p_loop[taken and counts[pc] >= 2]
+                | p_loop[taken and counts[pc] >= LOOP_TAKEN]
                 | p_both_ways[len(outcomes) == 2]
                 | p_after_cmp[cmp_rd is not None
                               and cmp_rd in (instr.rs1, instr.rs2)]
@@ -932,7 +1070,7 @@ class RocketCore(Module):
         set_bits = dcache._index_mask
         set_idx = line_key & set_bits
         mask |= (
-            p_reuse3[count >= 3]
+            p_reuse3[count >= LINE_REUSE]
             | p_set_thrash[count >= 2 and sum(
                 1 for key, n in touches.items()
                 if n >= 2 and key & set_bits == set_idx) >= 2]
@@ -964,7 +1102,7 @@ class RocketCore(Module):
         # Chained atomics.
         if meta & M_AMO and not meta & (M_LR | M_SC):
             amo_rd = self._amo_rd
-            mask |= p_amo_chain[amo_rd is not None and self._amo_age <= 4
+            mask |= p_amo_chain[amo_rd is not None and self._amo_age < AMO_AGE
                                 and amo_rd in (instr.rs1, instr.rs2)]
             if result.rd:
                 self._amo_rd = result.rd
@@ -976,7 +1114,7 @@ class RocketCore(Module):
             self._hit_streak += 1
         else:
             self._hit_streak = 0
-        mask |= lookup_arms | p_streak4[self._hit_streak >= 4]
+        mask |= lookup_arms | p_streak4[self._hit_streak >= HIT_STREAK]
         if line is None:
             mask |= dcache.refill(addr, memory.read_bytes)[1]
             if dcache.last_evicted is not None:
