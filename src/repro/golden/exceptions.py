@@ -1,8 +1,8 @@
-"""Synchronous trap machinery with architectural priority resolution."""
+"""The synchronous trap raised by instruction execution."""
 
 from __future__ import annotations
 
-from repro.isa.spec import EXC_NAMES, EXCEPTION_PRIORITY
+from repro.isa.spec import EXC_NAMES
 
 
 class Trap(Exception):
@@ -20,17 +20,3 @@ class Trap(Exception):
     def __repr__(self) -> str:
         return f"Trap(cause={self.cause}, tval={self.tval:#x})"
 
-
-_PRIORITY_INDEX = {cause: i for i, cause in enumerate(EXCEPTION_PRIORITY)}
-
-
-def select_trap(candidates: list[Trap]) -> Trap:
-    """Pick the highest-priority trap among simultaneous candidates.
-
-    This implements the privileged-spec ordering — notably
-    *address-misaligned above access-fault* for loads and stores, the corner
-    the paper's Finding1 shows RocketCore getting wrong.
-    """
-    if not candidates:
-        raise ValueError("select_trap() with no candidates")
-    return min(candidates, key=lambda t: _PRIORITY_INDEX.get(t.cause, 99))

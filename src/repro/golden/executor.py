@@ -71,7 +71,7 @@ Handler = Callable[[ArchState, SparseMemory, DecodedInstr, int], ExecResult]
 def _check_data_addr(memory: SparseMemory, addr: int, size: int, is_store: bool):
     """Raise the highest-priority trap for a bad data address, if any.
 
-    Misaligned outranks access-fault (``EXCEPTION_PRIORITY``), so the checks
+    The privileged spec ranks misaligned above access-fault, so the checks
     run in that order.  Each trap is raised where it is built: a local that
     still held it would form a cycle with its traceback (trap -> traceback
     -> this frame -> trap), keeping every frame on the stack, each with its

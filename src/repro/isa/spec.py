@@ -136,23 +136,6 @@ EXC_NAMES = {
     EXC_ECALL_FROM_M: "environment call from M-mode",
 }
 
-#: Synchronous-exception priority per the privileged spec (highest first).
-#: Used by the golden model; Finding1 is Rocket *violating* the
-#: misaligned-over-access-fault ordering for loads/stores.
-EXCEPTION_PRIORITY = (
-    EXC_BREAKPOINT,
-    EXC_INSTR_MISALIGNED,
-    EXC_INSTR_ACCESS_FAULT,
-    EXC_ILLEGAL_INSTRUCTION,
-    EXC_ECALL_FROM_M,
-    EXC_ECALL_FROM_S,
-    EXC_ECALL_FROM_U,
-    EXC_STORE_MISALIGNED,
-    EXC_LOAD_MISALIGNED,
-    EXC_STORE_ACCESS_FAULT,
-    EXC_LOAD_ACCESS_FAULT,
-)
-
 # ---------------------------------------------------------------------------
 # Default memory map used across golden model, SoC harness and dataset
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.golden.csr import MSTATUS_MPP_MASK
-from repro.golden.exceptions import Trap, select_trap
+from repro.golden.exceptions import Trap
 from repro.golden.executor import execute
 from repro.golden.memory import SparseMemory
 from repro.golden.state import ArchState
@@ -20,8 +20,6 @@ from repro.isa.spec import (
     EXC_ECALL_FROM_U,
     EXC_ILLEGAL_INSTRUCTION,
     EXC_INSTR_MISALIGNED,
-    EXC_LOAD_ACCESS_FAULT,
-    EXC_LOAD_MISALIGNED,
     PRV_M,
     PRV_U,
 )
@@ -194,22 +192,3 @@ class TestSystem:
             step(state, "mret")
         assert excinfo.value.cause == EXC_ILLEGAL_INSTRUCTION
 
-
-class TestTrapSelection:
-    def test_misaligned_beats_access_fault(self):
-        chosen = select_trap([
-            Trap(EXC_LOAD_ACCESS_FAULT, tval=1),
-            Trap(EXC_LOAD_MISALIGNED, tval=1),
-        ])
-        assert chosen.cause == EXC_LOAD_MISALIGNED
-
-    def test_breakpoint_highest(self):
-        chosen = select_trap([
-            Trap(EXC_LOAD_MISALIGNED),
-            Trap(EXC_BREAKPOINT),
-        ])
-        assert chosen.cause == EXC_BREAKPOINT
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            select_trap([])
