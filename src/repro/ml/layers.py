@@ -130,5 +130,5 @@ class MLP(Parameterized):
 def gelu_np(x: np.ndarray) -> np.ndarray:
     """GPT-2's tanh-approximated GELU, mirroring :meth:`Tensor.gelu` exactly."""
     c = np.sqrt(2.0 / np.pi).astype(np.float32)
-    inner = c * (x + 0.044715 * x**3)
+    inner = c * (x + 0.044715 * (x * x * x))
     return 0.5 * x * (1.0 + np.tanh(inner))

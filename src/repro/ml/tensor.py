@@ -297,7 +297,7 @@ class Tensor:
         """GPT-2's tanh-approximated GELU."""
         x = self.data
         c = np.sqrt(2.0 / np.pi).astype(np.float32)
-        inner = c * (x + 0.044715 * x**3)
+        inner = c * (x + 0.044715 * (x * x * x))
         t = np.tanh(inner)
         data = 0.5 * x * (1.0 + t)
 
