@@ -151,6 +151,12 @@ def step_instruction(
     return entry, traps_taken, None
 
 
+#: Loop-head keys one run keeps.  A steady loop brings its few keys back
+#: within a few periods; keys that fill the table come from a loop that is
+#: not steady (a register counts every pass), so the table starts over.
+HEADS_CAP = 256
+
+
 def _replayable(entry: TraceEntry) -> bool:
     """True when ``entry`` may be part of a replayed period: it did not
     trap, and its instruction is no CSR, system, AMO/LR/SC or fence."""
@@ -167,14 +173,17 @@ def steady_period(heads: dict, key: tuple, steps: int,
     ``steps`` steps, having traced ``entries``.
 
     ``heads`` maps each key the run has passed to ``(step, trace length,
-    period)``.  Returns the period when the key came back twice with that
-    period, both periods are fully traced with identical entries, and
-    every entry is replayable (see the module docstring); else 0.  A key
-    whose periods repeat but cannot be replayed is never checked again.
+    period)``, up to ``HEADS_CAP`` keys.  Returns the period when the key
+    came back twice with that period, both periods are fully traced with
+    identical entries, and every entry is replayable (see the module
+    docstring); else 0.  A key whose periods repeat but cannot be
+    replayed is not checked again.
     """
     n = len(entries)
     seen = heads.get(key)
     if seen is None:
+        if len(heads) >= HEADS_CAP:
+            heads.clear()
         heads[key] = (steps, n, 0)
         return 0
     last_step, last_n, last_period = seen

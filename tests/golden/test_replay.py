@@ -9,11 +9,12 @@ reason and ``instret`` both ways.
 The hand-written loops cover what a period may and may not hold: stores of
 the same and of a changing value, stores into the loop's own code, mul/div,
 counter CSR reads, a CSR write, a trap every pass, LR/SC, calls, a loop
-whose key repeats while memory does not, and loops whose microarchitectural
-state settles late or never (``tests/soc/test_rocket_replay.py`` runs the
-same bodies on Rocket).  ``REPLAYED`` names the loops that must replay, so
-a change that silently stops replaying, or starts replaying a period the
-rule excludes, fails here too.
+whose key repeats while memory does not, a counting loop that fills the
+loop-head table, and loops whose microarchitectural state settles late or
+never (``tests/soc/test_rocket_replay.py`` runs the same bodies on Rocket).
+``REPLAYED`` names the loops that must replay, so a change that silently
+stops replaying, or starts replaying a period the rule excludes, fails
+here too.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ import repro.golden.simulator as simulator
 from repro.baselines.random_regression import RandomRegressionGenerator
 from repro.baselines.thehuzz import TheHuzzGenerator
 from repro.golden.memory import SparseMemory
-from repro.golden.simulator import (GoldenSimulator, SimConfig,
-                                    step_instruction, trap_handler_image)
+from repro.golden.simulator import (HEADS_CAP, GoldenSimulator, SimConfig,
+                                    steady_period, step_instruction,
+                                    trap_handler_image)
 from repro.golden.state import ArchState
 from repro.golden.trace import CommitTrace
 from repro.isa.assembler import Assembler
@@ -161,6 +163,16 @@ LOOPS = {
         addi t3, t1, 0
         j loop
     """,
+    # 300 passes of a counting loop fill the loop-head table (HEADS_CAP),
+    # which starts over, before the spin loop.
+    "count_then_spin": """
+        li t0, 300
+    count:
+        addi t0, t0, -1
+        bnez t0, count
+    spin:
+        j spin
+    """,
     # Three lines of one set in a 2-way D$: the ways they land in rotate
     # with a period of three passes.
     "thrash": """
@@ -174,7 +186,8 @@ LOOPS = {
 
 #: Loops whose run must skip steps under the default limits.
 REPLAYED = {"spin", "alu", "load", "store_same", "store_toggle",
-            "self_modifying", "muldiv", "call", "settles_late", "thrash"}
+            "self_modifying", "muldiv", "call", "settles_late", "thrash",
+            "count_then_spin"}
 
 
 def _asm(text: str) -> list[int]:
@@ -309,3 +322,10 @@ def test_spin_loop_interprets_few_steps(monkeypatch):
                                loop_programs()["spin"])
     assert trace.stop_reason == "max_steps" and trace.instret > 4000
     assert steps < 64
+
+
+def test_loop_head_table_is_bounded():
+    heads: dict = {}
+    for step in range(1, 3 * HEADS_CAP):
+        steady_period(heads, (step,), step, [])
+        assert len(heads) <= HEADS_CAP

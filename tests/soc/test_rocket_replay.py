@@ -33,7 +33,8 @@ PARAMS = {
 #: loop's D$ ways rotate with three times its period, so its state never
 #: equals one period earlier on 2-way caches; it replays on 4-way ones.
 REPLAYED = {"spin", "alu", "load", "store_same", "store_toggle",
-            "self_modifying", "muldiv", "call", "settles_late"}
+            "self_modifying", "muldiv", "call", "settles_late",
+            "count_then_spin"}
 
 
 def stepped(core: RocketCore, program: list[int]):
