@@ -485,7 +485,7 @@ class RocketCore(Module):
         state = rs.state
         entries = rs.trace.entries
         handler_lo, handler_hi = rs.handler_lo, rs.handler_hi
-        heads: dict | None = {}
+        heads: dict = {}
         #: loop-head key -> (steady state, cycles, step) at its last
         #: replayable pass.
         settled: dict[tuple, tuple] = {}
@@ -494,8 +494,8 @@ class RocketCore(Module):
         while True:
             pc = state.pc
             if not step(rs):
-                break
-            if state.pc > pc or heads is None or handler_lo <= pc < handler_hi:
+                return self.finish_run(rs)
+            if state.pc > pc or handler_lo <= pc < handler_hi:
                 continue
             if rs.traps_taken != head_traps:
                 # A trap since the last loop head: no period ending here
@@ -512,12 +512,13 @@ class RocketCore(Module):
             if (last is not None and last[2] == steps - period
                     and last[0] == steady):
                 self._replay(rs, period, rs.cycles - last[1])
-                heads = None  # less than one period is left
-                continue
+                break
             misses += 1
             if misses > SETTLE_MISSES:
-                heads = None  # the state does not settle: step to the end
+                break  # the state does not settle
             settled[key] = (steady, rs.cycles, steps)
+        while step(rs):  # less than one period, or an unsettled run, is left
+            pass
         return self.finish_run(rs)
 
     def _steady_state(self, rs: RunState) -> tuple:
