@@ -141,7 +141,11 @@ LOOPS = {
         sc.w t1, t0, (gp)
         j loop
     """,
+    # s1 = the address of 'jal ra, f', so the jalr closes the loop
+    # through a register.
     "call": """
+        auipc s1, 0
+        addi s1, s1, 8
     loop:
         jal ra, f
         jalr x0, 0(s1)
@@ -196,15 +200,7 @@ def _asm(text: str) -> list[int]:
 
 def loop_programs() -> dict[str, list[int]]:
     """Each loop as a full program image."""
-    programs = {}
-    for name, text in LOOPS.items():
-        body = _asm(text)
-        if name == "call":
-            # s1 = the address of 'jal ra, f': the jalr closes the loop
-            # through a register.
-            body = _asm("auipc s1, 0\n    addi s1, s1, 8") + body
-        programs[name] = build_program(body)
-    return programs
+    return {name: build_program(_asm(text)) for name, text in LOOPS.items()}
 
 
 def late_loop_program(name: str, prefix: int) -> list[int]:
