@@ -47,6 +47,7 @@ from repro.golden.csr import (
 )
 from repro.golden.memory import SparseMemory
 from repro.golden.simulator import (
+    HANDLER_END,
     GoldenSimulator,
     SimConfig,
     step_instruction,
@@ -323,7 +324,7 @@ class _LaneGroup:
         self.c = _u64consts()
 
         handler = trap_handler_image()
-        self.handler_span = (spec.TRAP_VECTOR, spec.TRAP_VECTOR + 4 * len(handler))
+        self.handler_span = (spec.TRAP_VECTOR, HANDLER_END)
         h_img = np.frombuffer(
             b"".join((w & 0xFFFFFFFF).to_bytes(4, "little") for w in handler),
             dtype=np.uint8,
@@ -516,7 +517,6 @@ class _LaneGroup:
         st, mem = self._lane_ctx(lane)
         self._sync_out(lane, st)
         cfg = self.config
-        hlo, hhi = self.handler_span
         max_steps = cfg.max_steps
         steps = int(self.steps[lane])
         traps = int(self.traps[lane])
@@ -556,9 +556,7 @@ class _LaneGroup:
                 steps += 6
                 first = False
                 continue
-            entry, traps, stop_reason = step_instruction(
-                st, mem, cfg, hlo, hhi, traps
-            )
+            entry, traps, stop_reason = step_instruction(st, mem, cfg, traps)
             steps += 1
             if entry is not None:
                 ov[count] = entry

@@ -30,12 +30,23 @@ deterministic machine started twice from the same state runs the same
 period again, so its trace, stop reason and ``instret`` equal stepping's.
 :func:`step_instruction` itself is unchanged and still takes every step
 the run interprets; the lane engine peels to it.
+
+The trap contract
+-----------------
+This module is the one home of how every engine takes a trap.  It holds
+the handler stub as data (:data:`TRAP_HANDLER`) with its end address
+(:data:`HANDLER_END`), :func:`load_image` (a test program plus the
+handler), :func:`take_trap` (enter the handler and return the trap's
+trace entry) and the run limits every engine defaults to
+(:data:`MAX_STEPS`, :data:`MAX_TRAPS`).  :func:`step_instruction`,
+``RocketCore`` and ``BoomCore`` call them; each still checks its own
+``max_traps`` budget.  The lane engines take the image and its end from
+here and apply the handler's closed form themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.golden.exceptions import Trap
 from repro.golden.executor import execute
@@ -57,43 +68,73 @@ from repro.isa.spec import (
 )
 
 
-@lru_cache(maxsize=1)
-def _handler_image_cached() -> tuple[int, ...]:
-    """Encoded trap-handler stub — fixed, so encoded once per process."""
-    return (
-        encode("csrrw", rd=31, csr=CSR_MSCRATCH, rs1=31),
-        encode("csrrs", rd=31, csr=CSR_MEPC, rs1=0),
-        encode("addi", rd=31, rs1=31, imm=4),
-        encode("csrrw", rd=0, csr=CSR_MEPC, rs1=31),
-        encode("csrrw", rd=31, csr=CSR_MSCRATCH, rs1=31),
-        encode("mret"),
-    )
+#: Default run limits of every engine: :class:`SimConfig`, ``RocketParams``
+#: and ``BoomParams``.
+MAX_STEPS = 4096
+MAX_TRAPS = 64
+
+#: The trap-handler stub installed at ``TRAP_VECTOR``.  It advances
+#: ``mepc`` past the faulting instruction and returns, preserving all
+#: registers via ``mscratch``:
+#:
+#: .. code-block:: asm
+#:
+#:     csrrw x31, mscratch, x31   # save x31
+#:     csrrs x31, mepc, x0        # x31 = mepc
+#:     addi  x31, x31, 4
+#:     csrrw x0,  mepc, x31       # mepc += 4
+#:     csrrw x31, mscratch, x31   # restore x31
+#:     mret
+TRAP_HANDLER = (
+    encode("csrrw", rd=31, csr=CSR_MSCRATCH, rs1=31),
+    encode("csrrs", rd=31, csr=CSR_MEPC, rs1=0),
+    encode("addi", rd=31, rs1=31, imm=4),
+    encode("csrrw", rd=0, csr=CSR_MEPC, rs1=31),
+    encode("csrrw", rd=31, csr=CSR_MSCRATCH, rs1=31),
+    encode("mret"),
+)
+
+#: First address past the handler: steps at ``TRAP_VECTOR <= pc <
+#: HANDLER_END`` run the handler and go untraced unless
+#: ``SimConfig.trace_handler``.
+HANDLER_END = TRAP_VECTOR + 4 * len(TRAP_HANDLER)
 
 
 def trap_handler_image() -> list[int]:
-    """The trap-handler stub installed at ``TRAP_VECTOR``.
+    """The trap-handler stub, :data:`TRAP_HANDLER`, as a fresh list."""
+    return list(TRAP_HANDLER)
 
-    Advances ``mepc`` past the faulting instruction and returns, preserving
-    all registers via ``mscratch``:
 
-    .. code-block:: asm
+def load_image(program: list[int], base: int) -> SparseMemory:
+    """A fresh memory holding ``program`` at ``base`` and the trap handler
+    at ``TRAP_VECTOR``: the image every scalar engine runs."""
+    memory = SparseMemory()
+    memory.load_program(program, base)
+    memory.load_program(TRAP_HANDLER, TRAP_VECTOR)
+    return memory
 
-        csrrw x31, mscratch, x31   # save x31
-        csrrs x31, mepc, x0        # x31 = mepc
-        addi  x31, x31, 4
-        csrrw x0,  mepc, x31       # mepc += 4
-        csrrw x31, mscratch, x31   # restore x31
-        mret
+
+def take_trap(state: ArchState, pc: int, word: int, cause: int, tval: int,
+              priv: int) -> TraceEntry:
+    """Take a synchronous trap raised at ``pc`` by instruction ``word``.
+
+    Clears the reservation, records the trap in the CSRs (``mepc``,
+    ``mcause``, ``mtval``, the ``mstatus`` stack), enters the handler in
+    M-mode and counts the trap as one cycle and one instruction.  Returns
+    the trap's trace entry, which carries ``priv``, the privilege the
+    instruction ran at.
     """
-    return list(_handler_image_cached())
+    state.reservation = None
+    state.pc = state.csr.enter_trap(cause, pc, tval, priv)
+    state.priv = PRV_M
+    state.csr.tick()
+    return TraceEntry(pc, word, priv, None, 0, None, cause, tval)
 
 
 def step_instruction(
     state: ArchState,
     memory: SparseMemory,
     config: "SimConfig",
-    handler_lo: int,
-    handler_hi: int,
     traps_taken: int,
 ) -> tuple[TraceEntry | None, int, str | None]:
     """One iteration of the golden run loop: execute a single instruction or
@@ -125,19 +166,13 @@ def step_instruction(
         result = execute(state, memory, instr, pc)
     except Trap as trap:
         traps_taken += 1
-        entry = TraceEntry(pc, word, state.priv, None, 0, None, trap.cause,
-                           trap.tval)
-        state.reservation = None
-        handler_pc = state.csr.enter_trap(trap.cause, pc, trap.tval, state.priv)
-        state.priv = PRV_M
-        state.pc = handler_pc
-        state.csr.tick()
+        entry = take_trap(state, pc, word, trap.cause, trap.tval, state.priv)
         if traps_taken >= config.max_traps:
             return entry, traps_taken, "max_traps"
         return entry, traps_taken, None
 
     entry = None
-    if config.trace_handler or not handler_lo <= pc < handler_hi:
+    if config.trace_handler or not TRAP_VECTOR <= pc < HANDLER_END:
         rd = result.rd or None  # x0 write-backs are not traced
         entry = TraceEntry(pc, word, state.priv, rd,
                            result.rd_value if rd else 0, result.mem, None, 0,
@@ -207,12 +242,12 @@ def steady_period(heads: dict, key: tuple, steps: int,
 class SimConfig:
     """Execution limits and trace policy for one simulation run."""
 
-    max_steps: int = 4096
+    max_steps: int = MAX_STEPS
     #: Include instructions executed inside the trap handler in the trace.
     trace_handler: bool = False
     #: Abort if this many traps occur (runaway trap loops — e.g. a wild jump
     #: into unmapped space faults on every subsequent fetch).
-    max_traps: int = 64
+    max_traps: int = MAX_TRAPS
 
 
 class GoldenSimulator:
@@ -228,19 +263,11 @@ class GoldenSimulator:
         self.config = config or SimConfig()
 
     def run(self, program: list[int], base: int = DRAM_BASE) -> CommitTrace:
-        """Execute ``program`` (a list of 32-bit words) and return its trace."""
-        memory = SparseMemory()
-        memory.load_program(program, base)
-        memory.load_program(trap_handler_image(), TRAP_VECTOR)
+        """Execute ``program`` (a list of 32-bit words) and return its
+        trace, replaying steady loops (see the module docstring)."""
         state = ArchState(pc=base)
-        return self._run_loop(state, memory)
-
-    def _run_loop(self, state: ArchState, memory: SparseMemory) -> CommitTrace:
-        """Step ``state`` to a stop reason, replaying steady loops (see the
-        module docstring)."""
+        memory = load_image(program, base)
         trace = CommitTrace()
-        handler_lo = TRAP_VECTOR
-        handler_hi = TRAP_VECTOR + 4 * len(trap_handler_image())
         traps_taken = 0
 
         config = self.config
@@ -251,9 +278,7 @@ class GoldenSimulator:
         heads: dict = {}
         head_traps = 0  # trap count at the last loop head
         for steps in range(1, max_steps + 1):
-            entry, traps_taken, stop = step(
-                state, memory, config, handler_lo, handler_hi, traps_taken
-            )
+            entry, traps_taken, stop = step(state, memory, config, traps_taken)
             if entry is not None:
                 append(entry)
             if stop is not None:
@@ -261,7 +286,7 @@ class GoldenSimulator:
                 break
             # Loop heads follow backward transfers outside the handler.
             if (entry is None or state.pc > entry.pc
-                    or handler_lo <= entry.pc < handler_hi):
+                    or TRAP_VECTOR <= entry.pc < HANDLER_END):
                 continue
             if traps_taken != head_traps:
                 # A trap since the last loop head: no period ending here
@@ -280,8 +305,7 @@ class GoldenSimulator:
                 # The tail repeats the period's first steps, which neither
                 # stop the run nor go untraced.
                 for _ in range(tail):
-                    append(step(state, memory, config, handler_lo, handler_hi,
-                                traps_taken)[0])
+                    append(step(state, memory, config, traps_taken)[0])
                 trace.stop_reason = "max_steps"
                 break
         else:

@@ -52,7 +52,7 @@ from repro.golden.csr import (
     MSTATUS_MPP_MASK,
     MSTATUS_MPP_SHIFT,
 )
-from repro.golden.simulator import SimConfig, trap_handler_image
+from repro.golden.simulator import HANDLER_END, SimConfig, trap_handler_image
 from repro.golden.batch import (
     DEFAULT_LANES,
     F_IMM,
@@ -515,7 +515,7 @@ class _DutLaneGroup(_LaneGroup):
         self._build_table()
         self.width = self.words.shape[1]
         self.hvec = np.uint64(spec.TRAP_VECTOR)
-        self.hspan = np.uint64(4 * self.nhandler)
+        self.hspan = np.uint64(HANDLER_END - spec.TRAP_VECTOR)
 
         # -- per-word metadata (coverage/timing predicates + true fields) --
         uw, inv = np.unique(self.words, return_inverse=True)
@@ -947,7 +947,7 @@ class _DutLaneGroup(_LaneGroup):
             # mret redirects unless the trap was at the mret slot itself
             # (reachable only by a body jumping into the handler), where
             # return-pc happens to equal pc+4.
-            v3 != ((self.hvec + self.hspan) & c["mask"]),
+            v3 != np.uint64(HANDLER_END),
         ))
         self.covmat[cl] |= self._hskip_const()
         # exit state: CSRs, privilege, pc (vector CSRFile write + K_MRET)
@@ -1226,7 +1226,7 @@ class _DutLaneGroup(_LaneGroup):
             if sm.size:
                 sa = r_mema[sm]
                 ss = r_mems[sm].astype(np.uint64)
-                th = (sa < self.hvec + self.hspan) & (sa + ss > self.hvec)
+                th = (sa < np.uint64(HANDLER_END)) & (sa + ss > self.hvec)
                 for pos in sm[th].tolist():
                     self._refresh_handler(int(act[pos]))
 
@@ -1845,8 +1845,7 @@ class _DutLaneGroup(_LaneGroup):
         if pc & 3:
             return False
         off = pc - self.base
-        hoff = pc - spec.TRAP_VECTOR
-        if not (0 <= off < 4 * self.lmax or 0 <= hoff < 4 * self.nhandler):
+        if not (0 <= off < 4 * self.lmax or spec.TRAP_VECTOR <= pc < HANDLER_END):
             return False
         if self.params.bug1_fencei:
             cache = self.core.icache

@@ -15,6 +15,13 @@ at retire or at trap entry (where the trap-entry group of its cause joins
 it).  The caches and the branch predictor return their groups' arms, which
 join the same mask.
 
+Traps follow the contract in :mod:`repro.golden.simulator`, which the
+golden model and RocketCore share: :meth:`BoomCore.run` builds memory with
+``load_image``, and ``_trap`` enters the handler through ``take_trap`` and
+records the trap-entry coverage group of :mod:`repro.soc.traps`.  The
+mispredict penalty, the ROB/issue-queue flush and the ``max_traps`` check
+that sets ``trace.stop_reason`` stay here.
+
 No bugs are injected here: the paper's bug findings are on RocketCore; BOOM
 carries the fast-saturating coverage claim (97.02% in 49 minutes).
 """
@@ -23,8 +30,7 @@ from __future__ import annotations
 
 from repro.golden.exceptions import Trap
 from repro.golden.executor import execute
-from repro.golden.memory import SparseMemory
-from repro.golden.simulator import trap_handler_image
+from repro.golden.simulator import HANDLER_END, load_image, take_trap
 from repro.golden.state import ArchState
 from repro.golden.trace import CommitTrace, TraceEntry
 from repro.isa.decoder import decode
@@ -34,7 +40,6 @@ from repro.isa.spec import (
     DRAM_BASE,
     EXC_ILLEGAL_INSTRUCTION,
     EXC_INSTR_ACCESS_FAULT,
-    PRV_M,
     PRV_U,
     TRAP_VECTOR,
     WORD_MASK,
@@ -45,8 +50,7 @@ from repro.rtl.report import CoverageReport
 from repro.soc.boom.params import BoomParams
 from repro.soc.caches import SetAssocCache
 from repro.soc.predictor import BranchPredictor
-
-_CAUSE_CONDITIONS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 11)
+from repro.soc.traps import TRAP_CONDITIONS, TrapMasks
 
 #: Instruction classes with a ``decode.is_<kind>`` condition, each read from
 #: the spec's ``is_<kind>`` flag.
@@ -127,8 +131,7 @@ class BoomCore(Module):
             "execute.mul_high",
             "execute.result_zero",
             # CSR / traps
-            "csr.trap_taken",
-            *[f"csr.cause_is_{c}" for c in _CAUSE_CONDITIONS],
+            *TRAP_CONDITIONS,
             "csr.write",
             "csr.in_user_mode",
             "csr.mret",
@@ -139,12 +142,11 @@ class BoomCore(Module):
         cov.freeze()
 
         # Memoized group masks (see RocketCore): the decode condition group
-        # is a pure function of the instruction word, the trap-comparator
-        # group of the cause.
+        # is a pure function of the instruction word, the trap-entry group
+        # (repro.soc.traps) of the cause.
         #: word -> decode-group mask, bounded by DECODE_TABLE_CAP.
         self._decode_masks: dict[int, int] = {}
-        #: cause -> trap-entry-group mask.
-        self._trap_masks: dict[int, int] = {}
+        self._trap_mask = TrapMasks(self.arms).__getitem__
 
     # ------------------------------------------------------------------ run --
 
@@ -156,14 +158,9 @@ class BoomCore(Module):
         self.reset()
         self.cov.begin_run()
 
-        memory = SparseMemory()
-        memory.load_program(program, base)
-        memory.load_program(trap_handler_image(), TRAP_VECTOR)
+        memory = load_image(program, base)
         state = ArchState(pc=base)
         trace = CommitTrace()
-
-        handler_lo = TRAP_VECTOR
-        handler_hi = TRAP_VECTOR + 4 * len(trap_handler_image())
 
         cycles = 0
         traps_taken = 0
@@ -183,7 +180,7 @@ class BoomCore(Module):
 
         for _ in range(p.max_steps):
             pc = state.pc
-            in_handler = handler_lo <= pc < handler_hi
+            in_handler = TRAP_VECTOR <= pc < HANDLER_END
             instr_start_cycles = cycles
 
             # Two-wide machine: occupancies drain every other instruction,
@@ -400,16 +397,10 @@ class BoomCore(Module):
               instr_word: int, cause: int, tval: int, priv: int,
               traps_taken: int) -> bool:
         """Take a synchronous trap at ``pc``: record the instruction's arms
-        with the trap-entry group, log the trap and enter the handler.
+        with the trap-entry group, enter the handler and log the trap.
         Returns True once ``traps_taken`` spends the run's trap budget."""
-        self.cov.record_mask(
-            mask | (self._trap_masks.get(cause) or self._trap_mask(cause)))
-        trace.append(TraceEntry(pc=pc, instr=instr_word, priv=priv,
-                                trap_cause=cause, trap_tval=tval))
-        state.reservation = None
-        state.pc = state.csr.enter_trap(cause, pc, tval, priv)
-        state.priv = PRV_M
-        state.csr.tick()
+        self.cov.record_mask(mask | self._trap_mask(cause))
+        trace.append(take_trap(state, pc, instr_word, cause, tval, priv))
         if traps_taken >= self.params.max_traps:
             trace.stop_reason = "max_traps"
             return True
@@ -432,12 +423,4 @@ class BoomCore(Module):
         if len(self._decode_masks) >= DECODE_TABLE_CAP:
             self._decode_masks.clear()
         self._decode_masks[word] = mask
-        return mask
-
-    def _trap_mask(self, cause: int) -> int:
-        """Build and memoize the trap-entry group's arms for ``cause``."""
-        mask = self.arms["csr.trap_taken"][True]
-        for c in _CAUSE_CONDITIONS:
-            mask |= self.arms[f"csr.cause_is_{c}"][cause == c]
-        self._trap_masks[cause] = mask
         return mask

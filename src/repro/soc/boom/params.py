@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.golden.simulator import MAX_STEPS, MAX_TRAPS
+
 
 @dataclass(frozen=True)
 class BoomParams:
@@ -32,6 +34,6 @@ class BoomParams:
     div_latency: int = 16
     mispredict_penalty: int = 7
 
-    # Execution limits.
-    max_steps: int = 4096
-    max_traps: int = 64
+    # Execution limits (the golden model's defaults).
+    max_steps: int = MAX_STEPS
+    max_traps: int = MAX_TRAPS

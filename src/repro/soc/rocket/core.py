@@ -21,6 +21,14 @@ at retire or at trap entry.
 A retiring cycle advances ``mcycle``/``minstret`` in the CSR file's value
 table directly rather than through ``CSRFile.tick``.
 
+Traps follow the contract in :mod:`repro.golden.simulator`, which the
+golden model and BoomCore share: :meth:`RocketCore.begin_run` builds memory
+with ``load_image``, and ``_trap`` enters the handler through ``take_trap``
+and ORs the trap-entry coverage group of :mod:`repro.soc.traps` into the
+cycle's record.  What stays here is the core's own part: the trap penalty,
+the pipeline state a trap flushes, and the ``max_traps`` check that sets
+``trace.stop_reason``.
+
 Steady-loop replay
 ------------------
 :meth:`RocketCore.run` replays a steady loop as the golden model does
@@ -54,9 +62,10 @@ from typing import NamedTuple
 from repro.golden.exceptions import Trap
 from repro.golden.executor import execute
 from repro.golden.memory import SparseMemory
-from repro.golden.simulator import steady_period, trap_handler_image
+from repro.golden.simulator import (HANDLER_END, load_image, steady_period,
+                                    take_trap)
 from repro.golden.state import ArchState
-from repro.golden.trace import CommitTrace, TraceEntry
+from repro.golden.trace import CommitTrace
 from repro.isa.decoder import DecodedInstr, decode
 from repro.isa.spec import (
     CSR_CYCLE,
@@ -73,7 +82,6 @@ from repro.isa.spec import (
     EXC_LOAD_MISALIGNED,
     EXC_STORE_ACCESS_FAULT,
     EXC_STORE_MISALIGNED,
-    PRV_M,
     PRV_U,
     TRAP_VECTOR,
     WORD_MASK,
@@ -88,12 +96,10 @@ from repro.soc.predictor import BranchPredictor
 from repro.soc.rocket.params import RocketParams
 from repro.soc.rocket.tracer import Tracer
 from repro.soc.rocket.uncore import DebugUnit, InterruptController
+from repro.soc.traps import TRAP_CONDITIONS, TrapMasks
 
 _LOAD_SIZE = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4, "lwu": 4, "ld": 8}
 _STORE_SIZE = {"sb": 1, "sh": 2, "sw": 4, "sd": 8}
-
-#: mcause codes that have a dedicated comparator condition in the CSR unit.
-_CAUSE_CONDITIONS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 11)
 
 # -- per-word record ----------------------------------------------------------
 #
@@ -265,7 +271,7 @@ class RunState:
     """
 
     __slots__ = (
-        "memory", "state", "trace", "handler_lo", "handler_hi",
+        "memory", "state", "trace",
         "iterations", "cycles", "traps_taken", "prev1", "prev2",
         "muldiv_busy_until", "store_buffer", "dep_chain", "prev_wrote_sp",
         "branch_taken_counts", "link_stack", "ra_saved", "branch_outcomes",
@@ -400,8 +406,7 @@ class RocketCore(Module):
             "frontend.call_depth2",       # nested call with ra spilled
             "frontend.jalr_to_link",      # indirect jump through a live link
             # CSR unit / trap logic
-            "csr.trap_taken",
-            *[f"csr.cause_is_{c}" for c in _CAUSE_CONDITIONS],
+            *TRAP_CONDITIONS,
             "csr.write",
             "csr.read_only_violation",
             "csr.priv_violation",
@@ -423,11 +428,12 @@ class RocketCore(Module):
         self._words: dict[int, WordRecord] = {}
         #: Interned record masks: words of one shape share their mask ints.
         self._masks: dict[int, int] = {}
-        #: cause -> packed arm mask of the trap-entry condition group.
-        self._trap_mask_cache: dict[int, int] = {}
-        # No interrupt source is ever asserted, so the controller's poll
-        # is the same all-false group every cycle: fold it into the
-        # per-cycle masks instead of calling it.
+        #: cause -> arm mask of the trap-entry group (repro.soc.traps);
+        #: the lane engine reads it too.
+        self._trap_mask = TrapMasks(self.arms).__getitem__
+        # No interrupt source is ever asserted, so the controller's pending
+        # checks are the same all-false group every cycle: fold its mask
+        # into the per-cycle masks.
         idle = self.irq._idle_mask
         self._fetch_fault_mask = idle | arm("frontend.fetch_fault", True)
         self._fetched_mask = idle | arm("frontend.fetch_fault", False)
@@ -484,7 +490,6 @@ class RocketCore(Module):
         step = self.step_cycle
         state = rs.state
         entries = rs.trace.entries
-        handler_lo, handler_hi = rs.handler_lo, rs.handler_hi
         heads: dict = {}
         #: loop-head key -> (steady state, cycles, step) at its last
         #: replayable pass.
@@ -495,7 +500,7 @@ class RocketCore(Module):
             pc = state.pc
             if not step(rs):
                 return self.finish_run(rs)
-            if state.pc > pc or handler_lo <= pc < handler_hi:
+            if state.pc > pc or TRAP_VECTOR <= pc < HANDLER_END:
                 continue
             if rs.traps_taken != head_traps:
                 # A trap since the last loop head: no period ending here
@@ -577,24 +582,15 @@ class RocketCore(Module):
         """Reset the core and build the loop state for one run.
 
         ``memory`` lets the batched engine substitute a lane-arena-backed
-        view; the default builds a fresh :class:`SparseMemory` with the
-        program and trap handler loaded.
+        view; the default is a fresh ``load_image(program, base)``.
         """
         self.reset()
         self.cov.begin_run()
 
         rs = RunState()
-        if memory is None:
-            memory = SparseMemory()
-            memory.load_program(program, base)
-            memory.load_program(trap_handler_image(), TRAP_VECTOR)
-        rs.memory = memory
+        rs.memory = load_image(program, base) if memory is None else memory
         rs.state = ArchState(pc=base)
         rs.trace = CommitTrace()
-
-        rs.handler_lo = TRAP_VECTOR
-        rs.handler_hi = TRAP_VECTOR + 4 * len(trap_handler_image())
-
         rs.iterations = 0
         rs.cycles = 0
         rs.traps_taken = 0
@@ -815,7 +811,7 @@ class RocketCore(Module):
                 rs.ra_saved = True
         elif meta & M_LOAD and instr.rd == 1:
             rs.ra_saved = False
-        in_handler = rs.handler_lo <= pc < rs.handler_hi
+        in_handler = TRAP_VECTOR <= pc < HANDLER_END
         if meta & M_CSR:
             csr = instr.csr
             csr_write = result.csr_write
@@ -870,16 +866,10 @@ class RocketCore(Module):
     def _trap(self, rs: RunState, mask: int, pc: int, instr_word: int,
               cause: int, tval: int, priv: int) -> bool:
         """Take a synchronous trap at ``pc``: record the cycle's arms with
-        the trap-entry group, log the trap and enter the handler."""
-        self.cov.record_mask(mask | self._trap_bits(cause))
+        the trap-entry group, enter the handler and log the trap."""
+        self.cov.record_mask(mask | self._trap_mask(cause))
         rs.traps_taken += 1
-        state = rs.state
-        rs.trace.append(TraceEntry(pc=pc, instr=instr_word, priv=priv,
-                                   trap_cause=cause, trap_tval=tval))
-        state.reservation = None
-        state.pc = state.csr.enter_trap(cause, pc, tval, priv)
-        state.priv = PRV_M
-        state.csr.tick()
+        rs.trace.append(take_trap(rs.state, pc, instr_word, cause, tval, priv))
         if rs.traps_taken >= self.params.max_traps:
             rs.trace.stop_reason = "max_traps"
             return False
@@ -1136,19 +1126,6 @@ class RocketCore(Module):
             if store_buffer:
                 store_buffer.pop(0)
         return extra, mask
-
-    def _trap_bits(self, cause: int) -> int:
-        """The trap-entry group's arms for ``cause``, memoized per cause."""
-        mask = self._trap_mask_cache.get(cause)
-        if mask is None:
-            mask = self._trap_mask_cache[cause] = self._trap_mask(cause)
-        return mask
-
-    def _trap_mask(self, cause: int) -> int:
-        mask = self.arm_bit("csr.trap_taken", True)
-        for c in _CAUSE_CONDITIONS:
-            mask |= self.arm_bit(f"csr.cause_is_{c}", cause == c)
-        return mask
 
     # ----------------------------------------------------------- Finding1 ----
 

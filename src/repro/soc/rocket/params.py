@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.golden.simulator import MAX_STEPS, MAX_TRAPS
+
 
 @dataclass(frozen=True)
 class RocketParams:
@@ -29,9 +31,9 @@ class RocketParams:
     trap_penalty: int = 5
     fencei_penalty: int = 10
 
-    # Execution limits (match the golden SimConfig defaults).
-    max_steps: int = 4096
-    max_traps: int = 64
+    # Execution limits (the golden model's defaults).
+    max_steps: int = MAX_STEPS
+    max_traps: int = MAX_TRAPS
 
     # Store buffer depth.
     store_buffer_depth: int = 2

@@ -224,11 +224,9 @@ def stepped(config: SimConfig, program: list[int]) -> CommitTrace:
     memory.load_program(trap_handler_image(), TRAP_VECTOR)
     state = ArchState(pc=DRAM_BASE)
     trace = CommitTrace()
-    handler_hi = TRAP_VECTOR + 4 * len(trap_handler_image())
     traps = 0
     for _ in range(config.max_steps):
-        entry, traps, stop = step_instruction(state, memory, config,
-                                              TRAP_VECTOR, handler_hi, traps)
+        entry, traps, stop = step_instruction(state, memory, config, traps)
         if entry is not None:
             trace.entries.append(entry)
         if stop is not None:

@@ -1,9 +1,34 @@
 """Golden simulator: whole-program runs, trap handling, tracing policy."""
 
-from repro.golden.simulator import GoldenSimulator, SimConfig, trap_handler_image
+from repro.golden.csr import MSTATUS_MIE, MSTATUS_MPIE, MSTATUS_MPP_SHIFT
+from repro.golden.simulator import (
+    HANDLER_END,
+    GoldenSimulator,
+    SimConfig,
+    load_image,
+    take_trap,
+    trap_handler_image,
+)
+from repro.golden.state import ArchState
+from repro.golden.trace import TraceEntry
 from repro.isa.assembler import Assembler
 from repro.isa.encoder import encode
-from repro.isa.spec import DRAM_BASE, EXC_ECALL_FROM_M, EXC_ILLEGAL_INSTRUCTION
+from repro.isa.spec import (
+    CSR_MCAUSE,
+    CSR_MCYCLE,
+    CSR_MEPC,
+    CSR_MINSTRET,
+    CSR_MSTATUS,
+    CSR_MTVAL,
+    CSR_MTVEC,
+    DRAM_BASE,
+    EXC_ECALL_FROM_M,
+    EXC_ILLEGAL_INSTRUCTION,
+    EXC_LOAD_MISALIGNED,
+    PRV_M,
+    PRV_U,
+    TRAP_VECTOR,
+)
 
 
 def run(text, config=None):
@@ -128,3 +153,62 @@ class TestHandlerImage:
 
     def test_ends_with_mret(self):
         assert trap_handler_image()[-1] == encode("mret")
+
+
+class TestTrapUnit:
+    """``take_trap`` and ``load_image``: the trap contract every engine
+    shares."""
+
+    PC = DRAM_BASE + 0x40
+    WORD = encode("ld", rd=5, rs1=6, imm=3)
+    TVAL = DRAM_BASE + 0x1003
+
+    def trapped_state(self) -> tuple[ArchState, TraceEntry]:
+        """A U-mode hart with interrupts enabled, a live reservation, a
+        retargeted mtvec and nonzero counters, after one misaligned-load
+        trap."""
+        state = ArchState(pc=self.PC)
+        state.priv = PRV_U
+        state.reservation = DRAM_BASE + 0x800
+        values = state.csr.values
+        values[CSR_MSTATUS] = MSTATUS_MIE
+        values[CSR_MTVEC] = DRAM_BASE + 0x200
+        values[CSR_MCYCLE] = 10
+        values[CSR_MINSTRET] = 7
+        entry = take_trap(state, self.PC, self.WORD, EXC_LOAD_MISALIGNED,
+                          self.TVAL, state.priv)
+        return state, entry
+
+    def test_enters_the_mtvec_target_in_m_mode_without_a_reservation(self):
+        state, _ = self.trapped_state()
+        assert state.pc == DRAM_BASE + 0x200
+        assert state.priv == PRV_M
+        assert state.reservation is None
+
+    def test_records_the_trap_in_the_csrs(self):
+        state, _ = self.trapped_state()
+        values = state.csr.values
+        assert values[CSR_MEPC] == self.PC
+        assert values[CSR_MCAUSE] == EXC_LOAD_MISALIGNED
+        assert values[CSR_MTVAL] == self.TVAL
+        # mstatus stack: MIE moves to MPIE, MPP holds the trapped privilege.
+        assert values[CSR_MSTATUS] == (MSTATUS_MPIE
+                                       | PRV_U << MSTATUS_MPP_SHIFT)
+        assert values[CSR_MCYCLE] == 11
+        assert values[CSR_MINSTRET] == 8
+
+    def test_returns_the_trap_entry_with_the_pre_trap_privilege(self):
+        _, entry = self.trapped_state()
+        assert entry == TraceEntry(pc=self.PC, instr=self.WORD, priv=PRV_U,
+                                   trap_cause=EXC_LOAD_MISALIGNED,
+                                   trap_tval=self.TVAL)
+
+    def test_load_image_holds_program_and_handler(self):
+        program = [encode("addi", rd=5, rs1=0, imm=i) for i in range(1, 4)]
+        base = DRAM_BASE + 0x100
+        memory = load_image(program, base)
+        assert [memory.fetch(base + 4 * i) for i in range(3)] == program
+        handler = trap_handler_image()
+        assert [memory.fetch(TRAP_VECTOR + 4 * i)
+                for i in range(len(handler))] == handler
+        assert HANDLER_END == TRAP_VECTOR + 4 * len(handler)
