@@ -72,8 +72,11 @@ def compare_traces(dut: CommitTrace, gold: CommitTrace) -> list[Mismatch]:
     """
     mismatches: list[Mismatch] = []
     for i, (d, g) in enumerate(zip(dut.entries, gold.entries)):
-        # Decoded lazily: mnemonics are only needed when a mismatch fires,
-        # and the overwhelmingly common aligned entry has none.
+        # Equal entries (tuple equality, in C) cannot mismatch, and they are
+        # the overwhelmingly common case: skip them before any field check.
+        # Mnemonics are decoded lazily, only when a mismatch fires.
+        if d == g:
+            continue
         if d.pc != g.pc:
             mismatches.append(Mismatch(
                 "pc_divergence", i, d.pc,
