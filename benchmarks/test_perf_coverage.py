@@ -21,7 +21,7 @@ on ``RocketCore.run``):
   is what the old core code did; the bitset engine uses the memoized
   ``record_mask`` group fold, which is what the migrated cores do;
 - one *idle-IRQ group* of 12 always-false conditions (the per-cycle
-  ``InterruptController.poll``), same treatment;
+  ``InterruptController._idle_mask``), same treatment;
 - one *hazard-style group* of 10 data-dependent conditions — not
   memoizable, but foldable: the bitset engine indexes prebound
   (false_bit, true_bit) pairs with each condition's bool and records the

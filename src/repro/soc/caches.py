@@ -49,8 +49,9 @@ class SetAssocCache(Module):
         Geometry; ``sets`` must be a power of two, and ``line_bytes`` a
         power of two of at least 8 (the widest access).  Any other value
         raises ``ValueError``: the index and offset are bit fields.
-    hit_latency, miss_penalty:
-        Cycle costs reported to the core's timing model.
+    miss_penalty:
+        Cycles a miss adds in the core's timing model (a hit costs none
+        beyond the base CPI).
     """
 
     def __init__(
@@ -60,7 +61,6 @@ class SetAssocCache(Module):
         ways: int = 2,
         sets: int = 8,
         line_bytes: int = 32,
-        hit_latency: int = 1,
         miss_penalty: int = 20,
         writable: bool = True,
     ) -> None:
@@ -73,7 +73,6 @@ class SetAssocCache(Module):
         self.ways = ways
         self.sets = sets
         self.line_bytes = line_bytes
-        self.hit_latency = hit_latency
         self.miss_penalty = miss_penalty
         self.writable = writable
         self._offset_bits = line_bytes.bit_length() - 1

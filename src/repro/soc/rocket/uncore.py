@@ -8,8 +8,11 @@ plateau.
 
 - :class:`DebugUnit` conditions are never evaluated at all — both arms stay
   uncovered, like logic behind a clock gate that never opens.
-- :class:`InterruptController` conditions are evaluated every retired
-  instruction but are always false — their true arms stay uncovered.
+- :class:`InterruptController` conditions are evaluated every cycle but
+  are always false — their true arms stay uncovered.  That all-false group
+  is one constant mask, ``_idle_mask``, which ``RocketCore`` folds into
+  every cycle's record and the DUT lane engine into every lane's coverage
+  row.
 """
 
 from __future__ import annotations
@@ -72,18 +75,15 @@ class DebugUnit(Module):
 
 
 class InterruptController(Module):
-    """CLINT/PLIC stub: polled every retire, lines never asserted."""
+    """CLINT/PLIC stub: its lines are never asserted, so every cycle
+    records the same all-false group, :attr:`_idle_mask`."""
 
     def __init__(self, path: str, cov: ConditionCoverage) -> None:
         super().__init__(path, cov)
         self.conditions(*IRQ_CONDITIONS)
         # No interrupt source is ever asserted during instruction fuzzing,
-        # so every poll records the same all-false arm group: precompute its
-        # packed mask once and retire the whole group in one OR per cycle.
+        # so every cycle's pending checks are the same all-false arm group:
+        # its packed mask, which the core ORs into each cycle's record.
         self._idle_mask = 0
         for name in IRQ_CONDITIONS:
             self._idle_mask |= self.arm_bit(name, False)
-
-    def poll(self) -> None:
-        """Evaluate the pending checks (always false during fuzzing)."""
-        self.cov.record_mask(self._idle_mask)
