@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from repro.fuzzing.chatfuzz import FuzzLoop
 from repro.fuzzing.mismatch import Mismatch
 from repro.rtl.bitset import Bitset
+from repro.rtl.report import coverage_percent
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,28 @@ class CampaignResult:
     #: dedupe identical signatures found by different campaigns while keeping
     #: per-campaign attribution (see ``repro.analysis.fleet``).
     mismatches: list[Mismatch] = field(default_factory=list)
+
+    @classmethod
+    def from_state(cls, name: str, loop: dict,
+                   curve: list[CurvePoint]) -> "CampaignResult":
+        """The result of a campaign whose loop is in state ``loop`` (a
+        :meth:`~repro.fuzzing.chatfuzz.FuzzLoop.state_dict`), so a live
+        campaign and a fleet holding only its state report the same
+        figures."""
+        coverage: Bitset = loop["coverage"]
+        detector = loop["detector"]
+        return cls(
+            name=name,
+            curve=curve,
+            tests_run=loop["tests_run"],
+            sim_hours=loop["clock_seconds"] / 3600.0,
+            final_coverage_percent=coverage_percent(len(coverage),
+                                                    coverage.nbits),
+            raw_mismatches=detector.raw_count,
+            unique_mismatches=detector.unique_count,
+            final_coverage=coverage,
+            mismatches=list(detector.unique.values()),
+        )
 
     @property
     def total_arms(self) -> int:
@@ -122,14 +145,26 @@ class Campaign:
                 coverage_percent=point.coverage_percent,
             )
 
-    def _finalize(self, result: CampaignResult) -> CampaignResult:
-        result.tests_run = self.loop.tests_run
-        result.sim_hours = self.loop.clock.hours
-        result.final_coverage_percent = self.loop.total_percent
-        result.raw_mismatches = self.loop.detector.raw_count
-        result.unique_mismatches = self.loop.detector.unique_count
-        result.final_coverage = self.loop.calculator.cumulative.hits
-        result.mismatches = list(self.loop.detector.unique.values())
+    def _run(self, result: CampaignResult | None, more) -> CampaignResult:
+        """The batch loop behind every entry point: run batches while
+        ``more()`` holds, snapshotting after each, and bring ``result`` up
+        to date.
+
+        ``None`` starts a fresh result.  Elaboration is charged up front
+        (as :meth:`run_sim_hours` always has), so the sim_hours epoch of
+        every CurvePoint — including the initial snapshot — is consistent
+        across all entry points.
+        """
+        if result is None:
+            result = CampaignResult(name=self.name)
+            self.loop.clock.start()
+            self._snapshot(result)
+        while more():
+            self.loop.run_batch()
+            self._snapshot(result)
+        # In place: run_slice hands out one accumulating object.
+        vars(result).update(vars(CampaignResult.from_state(
+            self.name, self.loop.state_dict(), result.curve)))
         return result
 
     # -- slice API (fleet scheduling) -------------------------------------------
@@ -150,15 +185,10 @@ class Campaign:
         :class:`CampaignResult` is a live snapshot whose ``final_coverage``
         delta against the fleet union is the scheduler's reward signal.
         """
-        if self._result is None:
-            self._result = CampaignResult(name=self.name)
-            self.loop.clock.start()  # consistent epoch; see run_tests
-            self._snapshot(self._result)
         target = self.loop.tests_run + n_tests
-        while self.loop.tests_run < target:
-            self.loop.run_batch()
-            self._snapshot(self._result)
-        return self._finalize(self._result)
+        self._result = self._run(self._result,
+                                 lambda: self.loop.tests_run < target)
+        return self._result
 
     def state_dict(self) -> dict:
         """Picklable snapshot of all mutable campaign state.
@@ -180,44 +210,21 @@ class Campaign:
         if state["curve"] is None:
             self._result = None
         else:
-            self._result = self._finalize(
-                CampaignResult(name=self.name, curve=list(state["curve"]))
-            )
+            self._result = CampaignResult.from_state(
+                self.name, self.loop.state_dict(), list(state["curve"]))
 
     def run_tests(self, n_tests: int) -> CampaignResult:
         """Run until at least ``n_tests`` tests have executed."""
-        result = CampaignResult(name=self.name)
-        # Charge elaboration up front (as run_sim_hours always has) so the
-        # sim_hours epoch of every CurvePoint — including the initial
-        # snapshot — is consistent across all three entry points.
-        self.loop.clock.start()
-        self._snapshot(result)
-        while self.loop.tests_run < n_tests:
-            self.loop.run_batch()
-            self._snapshot(result)
-        return self._finalize(result)
+        return self._run(None, lambda: self.loop.tests_run < n_tests)
 
     def run_sim_hours(self, hours: float, max_tests: int | None = None) -> CampaignResult:
         """Run until the simulated clock passes ``hours``."""
-        result = CampaignResult(name=self.name)
-        self.loop.clock.start()
-        self._snapshot(result)
-        while self.loop.clock.hours < hours:
-            if max_tests is not None and self.loop.tests_run >= max_tests:
-                break
-            self.loop.run_batch()
-            self._snapshot(result)
-        return self._finalize(result)
+        return self._run(None, lambda: (
+            self.loop.clock.hours < hours
+            and (max_tests is None or self.loop.tests_run < max_tests)))
 
     def run_to_coverage(self, percent: float, max_tests: int) -> CampaignResult:
         """Run until total coverage reaches ``percent`` (or the test cap)."""
-        result = CampaignResult(name=self.name)
-        self.loop.clock.start()  # consistent epoch; see run_tests
-        self._snapshot(result)
-        while (
+        return self._run(None, lambda: (
             self.loop.total_percent < percent
-            and self.loop.tests_run < max_tests
-        ):
-            self.loop.run_batch()
-            self._snapshot(result)
-        return self._finalize(result)
+            and self.loop.tests_run < max_tests))

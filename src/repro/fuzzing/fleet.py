@@ -11,10 +11,12 @@ experiment engine:
   factory, seed, batch size and test budget.
 - :class:`FleetRunner` — shards specs over a process pool (same lazy
   spin-up / worker reuse / graceful shutdown / deterministic ordering
-  playbook as :mod:`repro.fuzzing.pool`).  Workers cache the expensive
-  campaign shell (harness elaboration) per spec; the *mutable* state
-  travels with each slice as a compact state dict, so any worker can
-  continue any campaign and a kill never strands state in a dead process.
+  playbook as :mod:`repro.fuzzing.pool`), or runs them in-process on a
+  pool of one that takes the same dispatch path.  Workers cache the
+  expensive campaign shell (harness elaboration) per spec; the *mutable*
+  state travels with each slice as a compact state dict, pickled on the
+  way in as any pool pickles it, so any worker can continue any
+  campaign and a kill never strands state in a dead process.
 - budget scheduling — :meth:`FleetRunner.run_scheduled` allocates the
   shared budget in slices through a pluggable
   :class:`~repro.fuzzing.scheduler.BudgetScheduler` (round-robin baseline
@@ -38,8 +40,9 @@ experiment engine:
   sim-hours epoch, and dedupes mismatch signatures across campaigns
   (classification/attribution tables live in ``repro.analysis.fleet``).
 - fault tolerance — a failed or timed-out slice is retried from its last
-  known state (slices are idempotent: the authoritative state never
-  leaves the parent), worker death (``BrokenProcessPool``) triggers a
+  known state (slices are idempotent: a slice runs on a pickled copy,
+  so the parent's state is untouched however far a failed attempt got,
+  in-process or pooled), worker death (``BrokenProcessPool``) triggers a
   pool rebuild with only the in-flight slices requeued, and an arm that
   keeps failing past ``max_retries`` is *quarantined*: excluded from
   further scheduling, recorded with its terminal exception in
@@ -238,7 +241,7 @@ class CampaignSpec:
 
 
 class SliceTimeout(RuntimeError):
-    """A slice exceeded ``slice_timeout``.  Raised parent-side (a worker
+    """A slice exceeded ``slice_timeout``.  Made parent-side (a slice
     cannot time itself out) and fed to the ordinary retry machinery."""
 
 
@@ -520,10 +523,12 @@ def _run_slice(campaign: Campaign, n_tests: int, state: dict | None,
     """Continue one campaign by one slice; returns (new state, snapshot,
     busy seconds, events).
 
-    ``state`` is the authoritative mutable state from the parent (None only
-    for a campaign's very first slice) — the cached shell contributes only
-    the immutable, expensive parts (harness, executor), so slices of one
-    campaign may land on different workers in any order.  ``busy seconds``
+    ``state`` is a pickled copy of the parent's state for the campaign
+    (None only for its very first slice), in-process as on a pool — the
+    cached shell contributes only the immutable, expensive parts (harness,
+    executor), so slices of one campaign may land on different workers in
+    any order, and an attempt that fails part-way leaves the state its
+    retry restarts from untouched.  ``busy seconds``
     is the wall time this slice held its worker slot (state restore +
     simulation + snapshot), the numerator of
     :attr:`FleetStats.utilisation`.
@@ -538,11 +543,10 @@ def _run_slice(campaign: Campaign, n_tests: int, state: dict | None,
     ``collect`` (the default, and the whole no-sink fast path) it is
     ``None`` and the campaign does zero telemetry work.
 
-    An injected ``fault`` fires first, before any campaign state is
-    touched, so faulted slices are side-effect-free and retrying one from
-    the same ``state`` is exact (a ``"hang"`` fault returns and runs the
-    slice normally — its stall is charged to busy seconds, which is what
-    the in-process timeout check inspects).
+    An injected ``fault`` fires first, before the state is loaded (a
+    ``"hang"`` fault returns and runs the slice normally — its stall is
+    charged to busy seconds, which is what the completion-time timeout
+    check in :meth:`FleetRunner._pump` inspects).
     """
     started = time.perf_counter()
     if fault is not None:
@@ -572,6 +576,31 @@ def _fleet_slice(index: int, n_tests: int, state: dict | None,
     return _run_slice(campaign, n_tests, state, fault, collect)
 
 
+class _InProcessPool:
+    """The pool of an in-process fleet: one slot, in the parent.
+
+    ``submit`` runs the slice at once on a pickled copy of its arguments,
+    the way a pool hands a worker its arguments, so a failed attempt
+    cannot touch the state its retry restarts from, and a state that
+    does not pickle fails its attempt as it would on a pool.  The
+    returned future is already settled.  A ``BaseException`` (an
+    injected crash, ``KeyboardInterrupt``) propagates and aborts the
+    fleet.
+    """
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        try:
+            future.set_result(fn(*pickle.loads(pickle.dumps(args))))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True,
+                 cancel_futures: bool = False) -> None:
+        pass
+
+
 @dataclass
 class _SliceTask:
     """One dispatchable slice plus its fault-tolerance bookkeeping.
@@ -579,8 +608,8 @@ class _SliceTask:
     ``ordinal`` counts the arm's dispatches within the current entry-point
     call (the fault plan's schedule key — retries keep their ordinal and
     bump ``attempt``); ``deadline`` is the ``time.monotonic()`` instant
-    after which a pooled slice is considered hung (None until submitted,
-    and reset on requeue).
+    after which a slice is considered hung (None until submitted, and
+    reset on requeue).
     """
 
     arm: int
@@ -815,12 +844,13 @@ class FleetRunner:
         The campaign arms, in result order.  Names must be unique (they key
         cross-campaign mismatch attribution).
     n_workers:
-        ``0`` runs everything in-process (deterministic and pool-free — the
-        right mode for tests and one-core machines); ``N >= 1`` shards
-        slices over ``N`` worker processes.  Defaults to the machine's core
-        count.  Results are identical across modes (for scheduled runs, at
-        equal ``concurrent_slices``): state travels with each slice, so
-        placement never affects behaviour.
+        ``0`` runs every slice in-process, on a pool of one that takes
+        the pooled dispatch path (deterministic and free of worker
+        processes — the right mode for tests and one-core machines);
+        ``N >= 1`` shards slices over ``N`` worker processes.  Defaults
+        to the machine's core count.  Results are identical across modes
+        (for scheduled runs, at equal ``concurrent_slices``): state
+        travels with each slice, so placement never affects behaviour.
     checkpoint_dir:
         Enables :class:`FleetCheckpoint` snapshots (written incrementally,
         as slices complete) and resume-on-construction: an existing
@@ -839,15 +869,18 @@ class FleetRunner:
         ``retry_backoff * 2**k`` seconds before re-dispatch.  ``0``
         retries immediately (what the deterministic tests use).
     slice_timeout:
-        Seconds a slice may hold a worker slot.  Pooled, it is a deadline
-        set when the slice is submitted; the dispatch loop submits no more
-        slices than there are worker slots, so the clock runs only while
-        the slice holds a worker.  An overdue slice's pool is recycled (a
+        Seconds a slice may hold a worker slot.  It is a deadline set when
+        the slice is submitted; the dispatch loop submits no more slices
+        than there are worker slots, so the clock runs only while the
+        slice holds a worker.  An overdue slice's pool is recycled (a
         hung worker cannot be interrupted individually) and innocent
-        in-flight slices are requeued without being charged; in-process
-        it is enforced post-hoc on the slice's busy seconds.  Timeouts
-        count as retryable failures.  None (default) disables the
-        mechanism.
+        in-flight slices are requeued without being charged.  A slice
+        that completes with more busy seconds than the limit fails too:
+        an in-process slice runs to completion when it is submitted, so
+        this is how it times out (a pooled slice meets this check only
+        when it finished after its deadline but before the wait
+        returned).  Timeouts count as retryable failures.  None (default)
+        disables the mechanism.
     quarantine:
         When an arm exhausts its retries: ``True`` (default) quarantines
         it — the fleet completes with partial results and the failure
@@ -916,21 +949,22 @@ class FleetRunner:
         self.sink = sink
         #: Dispatch accounting of the most recent run/run_scheduled call.
         self.last_stats = FleetStats(n_workers=self.n_workers)
-        self._pool: ProcessPoolExecutor | None = None
+        self._pool: ProcessPoolExecutor | _InProcessPool | None = None
         self._local_campaigns: dict[int, Campaign] = {}
         self._closed = False
 
     # -- lifecycle -------------------------------------------------------------
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
+    def _ensure_pool(self) -> ProcessPoolExecutor | _InProcessPool:
         if self._closed:
             raise RuntimeError("FleetRunner is closed")
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                initializer=_fleet_init,
-                initargs=(self.specs,),
-            )
+            self._pool = _InProcessPool() if self.n_workers == 0 else (
+                ProcessPoolExecutor(
+                    max_workers=self.n_workers,
+                    initializer=_fleet_init,
+                    initargs=(self.specs,),
+                ))
         return self._pool
 
     def close(self) -> None:
@@ -981,20 +1015,19 @@ class FleetRunner:
 
     def _begin_stats(self, mode: str, concurrency: int,
                      health: FleetHealth) -> FleetStats:
-        slots = (1 if self.n_workers == 0
-                 else max(1, min(self.n_workers, concurrency)))
+        slots = max(1, min(self.n_workers, concurrency))
         self.last_stats = FleetStats(mode=mode, n_workers=self.n_workers,
                                      worker_slots=slots, health=health)
         return self.last_stats
 
     def _run_local_slice(self, index: int, n_tests: int, state: dict | None,
-                         fault: FaultPoint | None = None):
-        """Run one slice in-process on the cached local campaign shell."""
+                         fault: FaultPoint | None, collect: bool):
+        """:func:`_fleet_slice` for the in-process pool: one slice on the
+        cached local campaign shell."""
         campaign = _get_campaign(
             self.specs, self._local_campaigns, index, fresh=state is None
         )
-        return _run_slice(campaign, n_tests, state, fault,
-                          collect=self.sink.enabled)
+        return _run_slice(campaign, n_tests, state, fault, collect)
 
     # -- telemetry -------------------------------------------------------------
 
@@ -1029,20 +1062,20 @@ class FleetRunner:
             return None
         return self.fault_plan.find(task.arm, task.ordinal, task.attempt)
 
-    def _retry_or_quarantine(self, task: _SliceTask, exc: BaseException,
+    def _retry_or_quarantine(self, task: _SliceTask, exc: Exception,
                              health: FleetHealth,
                              on_quarantine) -> _SliceTask | None:
         """Central failure policy: the retry task, or None after
         quarantining the arm (or a re-raise when neither applies).
 
-        Only ``Exception``s are retryable — ``KeyboardInterrupt``,
-        ``SystemExit`` and other ``BaseException``s (an operator kill)
-        abort the fleet with checkpoints intact.  ``on_quarantine`` lets
-        the dispatch loop release the removed arm's bookkeeping and
-        persist the decision immediately.
+        Only ``Exception``s are retryable and reach here —
+        ``KeyboardInterrupt``, ``SystemExit`` and other
+        ``BaseException``s (an operator kill) propagate out of the pool's
+        ``submit`` or the slice's future and abort the fleet with
+        checkpoints intact.  ``on_quarantine`` lets the dispatch loop
+        release the removed arm's bookkeeping and persist the decision
+        immediately.
         """
-        if not isinstance(exc, Exception):
-            raise exc
         if isinstance(exc, SliceTimeout):
             health.timeouts += 1
             if self.sink.enabled:
@@ -1082,57 +1115,16 @@ class FleetRunner:
         on_quarantine(task)
         return None
 
-    def _run_task_local(self, task: _SliceTask, health: FleetHealth,
-                        on_quarantine):
-        """In-process execution with retry: ``(task, output)``, or None
-        when the arm was quarantined.
-
-        The timeout is enforced post-hoc on the slice's busy seconds (an
-        in-process slice cannot be interrupted).  Because in-process state
-        dicts share live objects with the parent's ``states`` map, any
-        attempt that might be discarded and retried (a scheduled fault, or
-        any run under a timeout) works on a defensive deep copy, keeping
-        the retry's input state pristine.
-        """
-        while True:
-            fault = self._fault_for(task)
-            if self.sink.enabled:
-                self.sink.emit(
-                    "slice_dispatched", arm=task.arm,
-                    name=self.specs[task.arm].name, ordinal=task.ordinal,
-                    attempt=task.attempt, n_tests=task.n_tests,
-                )
-            state = task.state
-            if state is not None and (fault is not None
-                                      or self.slice_timeout is not None):
-                state = copy.deepcopy(state)
-            try:
-                output = self._run_local_slice(task.arm, task.n_tests,
-                                               state, fault)
-                if (self.slice_timeout is not None
-                        and output[2] > self.slice_timeout):
-                    raise SliceTimeout(
-                        f"arm {task.arm} slice {task.ordinal} busy for "
-                        f"{output[2]:.3f}s > slice_timeout="
-                        f"{self.slice_timeout}s"
-                    )
-                return task, output
-            except BaseException as exc:
-                retry = self._retry_or_quarantine(task, exc, health,
-                                                  on_quarantine)
-                if retry is None:
-                    return None
-                task = retry
-
     def _submit_task(self, inflight: dict[Future, _SliceTask],
                      task: _SliceTask, health: FleetHealth) -> None:
-        """Submit one slice to the pool (rebuilding it once if the submit
-        itself finds the pool broken — the task never ran, so no attempt
-        is charged).  Its ``slice_timeout`` deadline starts here, which is
-        why the dispatch loop only submits to a free worker slot."""
+        """Submit one slice to the pool, :func:`_fleet_slice` to a process
+        pool and :meth:`_run_local_slice` to the in-process one (which
+        runs it at once), rebuilding the pool once if the submit itself
+        finds it broken — the task never ran, so no attempt is charged.
+        Its ``slice_timeout`` deadline starts here, which is why the
+        dispatch loop only submits to a free worker slot."""
         if self.slice_timeout is not None and task.deadline is None:
             task.deadline = time.monotonic() + self.slice_timeout
-        fault = self._fault_for(task)
         collect = self.sink.enabled
         if collect:
             self.sink.emit(
@@ -1140,29 +1132,27 @@ class FleetRunner:
                 name=self.specs[task.arm].name, ordinal=task.ordinal,
                 attempt=task.attempt, n_tests=task.n_tests,
             )
+        fn = _fleet_slice if self.n_workers else self._run_local_slice
+        args = (task.arm, task.n_tests, task.state, self._fault_for(task),
+                collect)
         try:
-            future = self._ensure_pool().submit(
-                _fleet_slice, task.arm, task.n_tests, task.state, fault,
-                collect,
-            )
+            future = self._ensure_pool().submit(fn, *args)
         except BrokenProcessPool:
             self._kill_pool()
             health.pool_rebuilds += 1
             if collect:
                 self.sink.emit("pool_rebuilt", layer="fleet",
                                reason="pool found broken at submit")
-            future = self._ensure_pool().submit(
-                _fleet_slice, task.arm, task.n_tests, task.state, fault,
-                collect,
-            )
+            future = self._ensure_pool().submit(fn, *args)
         inflight[future] = task
 
     def _pump(self, inflight: dict[Future, _SliceTask], health: FleetHealth,
               on_quarantine) -> list[tuple[_SliceTask, tuple]]:
-        """Advance the pooled dispatch loop by one wait: successfully
-        completed ``(task, output)`` pairs, sorted by arm.
+        """Advance the dispatch loop by one wait: successfully completed
+        ``(task, output)`` pairs, sorted by arm.
 
-        All recovery happens inside: failed slices are retried (requeued
+        All recovery happens inside: failed slices, and completed ones
+        whose busy seconds exceed ``slice_timeout``, are retried (requeued
         into ``inflight``), worker death recycles the pool and requeues
         every in-flight slice (the pool cannot say which task killed the
         worker, so each is charged an attempt), an overdue slice recycles
@@ -1186,12 +1176,22 @@ class FleetRunner:
         for future in sorted(done, key=lambda f: inflight[f].arm):
             task = inflight.pop(future)
             try:
-                completed.append((task, future.result()))
+                output = future.result()
             except BrokenProcessPool as exc:
                 broken = True
                 failed.append((task, exc))
             except Exception as exc:
                 failed.append((task, exc))
+            else:
+                if (self.slice_timeout is not None
+                        and output[2] > self.slice_timeout):
+                    failed.append((task, SliceTimeout(
+                        f"arm {task.arm} slice {task.ordinal} busy for "
+                        f"{output[2]:.3f}s > slice_timeout="
+                        f"{self.slice_timeout}s"
+                    )))
+                else:
+                    completed.append((task, output))
 
         if broken:
             # Worker death strands every other in-flight slice on the dead
@@ -1291,26 +1291,6 @@ class FleetRunner:
         if self.sink.enabled:
             self.sink.emit("checkpoint_written", rounds=rounds,
                            dirty=list(dirty))
-
-    @staticmethod
-    def _result_from_state(name: str, state: dict) -> CampaignResult:
-        """Rebuild the result snapshot a finished slice would have returned
-        (field-for-field identical to ``Campaign._finalize`` output)."""
-        loop = state["loop"]
-        coverage: Bitset = loop["coverage"]
-        detector = loop["detector"]
-        return CampaignResult(
-            name=name,
-            curve=list(state["curve"] or []),
-            tests_run=loop["tests_run"],
-            sim_hours=loop["clock_seconds"] / 3600.0,
-            final_coverage_percent=coverage_percent(len(coverage),
-                                                    coverage.nbits),
-            raw_mismatches=detector.raw_count,
-            unique_mismatches=detector.unique_count,
-            final_coverage=coverage,
-            mismatches=list(detector.unique.values()),
-        )
 
     # -- entry points ----------------------------------------------------------
 
@@ -1514,7 +1494,8 @@ class FleetRunner:
                        health, on_quarantine)
         stats.wall_seconds = time.perf_counter() - started
         fleet_result = FleetResult([
-            self._result_from_state(spec.name, states[index])
+            CampaignResult.from_state(spec.name, states[index]["loop"],
+                                      list(states[index]["curve"] or []))
             if index in states
             else CampaignResult(name=spec.name)
             for index, spec in enumerate(self.specs)
@@ -1533,7 +1514,7 @@ class FleetRunner:
         """The one dispatch loop behind every entry point.
 
         Keeps at most ``worker_slots`` slices in flight; in-process that
-        is one slice, run to completion when it starts.  ``pick()``
+        is one slice, run to completion when it is submitted.  ``pick()``
         supplies the next slice (None once a stop condition holds) and
         ``fold`` takes ``(task, output)`` completions.  Without
         ``round_size`` each completion is folded at once and its slot
@@ -1542,12 +1523,10 @@ class FleetRunner:
         slots, and folded together, in pick order, once the last one
         finishes.  A quarantined pick is simply absent from its round,
         and the budget it reserved frees up for the next one.  Retries
-        happen inside (:meth:`_run_task_local`, :meth:`_pump`) and keep
-        their arm's slot.
+        happen inside :meth:`_pump` and keep their arm's slot.
         """
         slots = self.last_stats.worker_slots
         inflight: dict[Future, _SliceTask] = {}
-        done: list[tuple[_SliceTask, tuple]] = []
         picks: list[_SliceTask] = []  # the round's picks, in pick order
         queue: list[_SliceTask] = []  # the round's picks not yet started
         outputs: dict[int, tuple] = {}
@@ -1566,30 +1545,24 @@ class FleetRunner:
                     if not picks:
                         return
                     queue = list(picks)
-                while len(inflight) + len(done) < slots:
+                while len(inflight) < slots:
                     if round_size is None:
                         task = pick()
                     else:
                         task = queue.pop(0) if queue else None
                     if task is None:
                         break
-                    if self.n_workers == 0:
-                        finished = self._run_task_local(task, health,
-                                                        on_quarantine)
-                        if finished is not None:
-                            done.append(finished)
-                    else:
-                        self._submit_task(inflight, task, health)
-                if inflight:
-                    done += self._pump(inflight, health, on_quarantine)
-                elif not done and round_size is None:
-                    return
-                for task, output in done:
+                    self._submit_task(inflight, task, health)
+                if not inflight:
+                    if round_size is None:
+                        return
+                    continue
+                for task, output in self._pump(inflight, health,
+                                               on_quarantine):
                     if round_size is None:
                         fold([(task, output)])
                     else:
                         outputs[task.arm] = output
-                done = []
         except BaseException:
             for future in inflight:
                 future.cancel()

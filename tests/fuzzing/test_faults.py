@@ -6,7 +6,8 @@ acceptance):
 
 - slice retry: an injected failure is retried and the final
   ``FleetResult`` is bit-identical to the fault-free run, in ``run()``
-  and both ``run_scheduled`` modes;
+  and both ``run_scheduled`` modes, also when the harness raises
+  part-way through an in-process slice;
 - pool self-healing: an injected worker death mid-fleet rebuilds the
   pool, requeues the in-flight slices, and still matches the fault-free
   result (``FleetRunner`` and ``ShardedExecutor``);
@@ -299,6 +300,35 @@ class TestInProcessRetryParity:
             RoundRobin(), slice_tests=8, mode="streaming")
         assert faulted.health.retries == 2
         assert_campaigns_equal(base, faulted)
+
+    @pytest.mark.parametrize("mode", ["rounds", "streaming"])
+    def test_mid_slice_raise_retries_from_untouched_state(self, mode):
+        """A harness that raises in the second slice's second batch does
+        so after the first batch advanced the generator and detector; the
+        retry must restart from the state the slice was handed."""
+
+        def run(fail_test: int):
+            spec = CampaignSpec(
+                "thehuzz-0", fuzzer="thehuzz",
+                fuzzer_config={"body_instructions": 16}, seed=5,
+                batch_size=4, budget_tests=16,
+                harness=ChaosHarnessFactory(HarnessFactory("rocket"),
+                                            fail_test=fail_test,
+                                            kind="raise"))
+            return FleetRunner([spec], n_workers=0,
+                               retry_backoff=0.0).run_scheduled(
+                RoundRobin(), slice_tests=8, mode=mode)
+
+        base = run(fail_test=16)  # past the budget: never fires
+        faulted = run(fail_test=12)
+        assert base.health.healthy
+        assert faulted.health.retries == 1
+        [expected], [got] = base.campaigns, faulted.campaigns
+        assert got.tests_run == expected.tests_run == 16
+        assert got.final_coverage == expected.final_coverage
+        assert got.raw_mismatches == expected.raw_mismatches
+        assert got.unique_mismatches == expected.unique_mismatches
+        assert got.curve == expected.curve
 
     def test_fault_free_path_identical_with_retries_disabled(self):
         """Fault-tolerance bookkeeping must not perturb clean runs."""
