@@ -2,14 +2,19 @@
 """Bug hunting: reproduce the paper's five RocketCore findings (§V-B).
 
 Part 1 triggers each behaviour with a targeted program (the "manual
-analysis" view); part 2 finds them by fuzzing (the campaign view).
+analysis" view) and checks that the divergence classifies as the bug its
+title names; part 2 finds them by fuzzing (the campaign view) and only
+reports what it found.
 
-Run:  python examples/hunt_bugs.py
+Run:  python examples/hunt_bugs.py   (exits 1 if a part-1 body no longer
+triggers its bug)
 
 For the fleet-scale version of part 2 — several fuzzers hunting at once,
 with signatures deduped across campaigns and per-campaign attribution in
 the E-BUGS table — see ``examples/run_fleet.py``.
 """
+
+import sys
 
 from repro.analysis.bugs import KNOWN_BUGS, classify_mismatches, detected_bugs
 from repro.fuzzing.campaign import Campaign
@@ -66,11 +71,18 @@ TARGETED = {
 }
 
 print("=== part 1: targeted reproduction ===")
+missed = []
 for title, source in TARGETED.items():
+    bug_id = title.split()[0]
     body = Assembler(base=body_base).assemble(source)
     dut, gold, _ = harness.run_differential(body)
     mismatches = compare_traces(dut, gold)
-    status = "TRIGGERED" if mismatches else "no divergence"
+    if bug_id in detected_bugs(mismatches):
+        status = "TRIGGERED"
+    else:
+        missed.append(bug_id)
+        status = (f"diverged, but not as {bug_id}" if mismatches
+                  else "no divergence")
     print(f"\n{title}: {status}")
     for mismatch in mismatches[:2]:
         print("   ", mismatch)
@@ -100,3 +112,7 @@ for bug_id, info in KNOWN_BUGS.items():
           f"{status} [{count} unique signature(s)]")
 print(f"  unexplained unique signatures: "
       f"{len(groups.get('UNEXPLAINED', []))}")
+
+if missed:
+    print(f"\npart 1 did not trigger: {', '.join(missed)}")
+    sys.exit(1)
