@@ -72,7 +72,8 @@ class CommitTrace:
     """Ordered commit log of one program execution."""
 
     entries: list[TraceEntry] = field(default_factory=list)
-    #: Why execution stopped: "wfi", "max_steps", "pc_escape" or "running".
+    #: Why execution stopped: "wfi", "max_steps" or "max_traps"; "running"
+    #: until the run ends.
     stop_reason: str = "running"
     #: Total instructions retired (== len(entries) unless truncated).
     instret: int = 0
