@@ -15,8 +15,11 @@ single-core machine and for tiny batches — see ROADMAP.md.
 With ``--golden-lanes N`` the golden half of every differential batch runs
 on the batched numpy engine (N lockstep lanes; 0 = scalar golden, the
 default), and ``--dut-lanes N`` does the same for the DUT half (traces and
-coverage reports both).  Also bit-identical — only faster; see the
-ROADMAP's "Choosing lane widths (golden + DUT)" guidance for picking N.
+coverage reports both).  Lanes are bit-identical too, but slower on the
+ChatFuzz bodies this script generates: on a 2-vCPU Xeon, 32 golden lanes
+ran ChatFuzz batches of 20 at 0.13x the scalar engine's speed and 32 DUT
+lanes at 0.19x.  So both default to 0; see the ROADMAP's "Choosing lane
+widths (golden + DUT)" guidance before setting N.
 
 To run the whole comparison as parallel *campaigns* instead (one worker
 process per fuzzer arm, with budget scheduling, checkpoint/resume and

@@ -247,9 +247,7 @@ class GoldenBatchSimulator:
     Parameters
     ----------
     config:
-        Same :class:`SimConfig` the scalar engine takes.  A config with
-        ``trace_handler=True`` always runs scalar (the analytic trap
-        plane elides handler commits by construction).
+        Same :class:`SimConfig` the scalar engine takes.
     lanes:
         Lane-group width: programs are executed in groups of this many
         lockstep lanes.  Wider groups amortise per-round numpy overhead
@@ -285,9 +283,7 @@ class GoldenBatchSimulator:
         return out
 
     def _batchable(self, progs: list[list[int]], base: int) -> bool:
-        if _np is None or self.config.trace_handler:
-            return False
-        if len(progs) < LANE_MIN:
+        if _np is None or len(progs) < LANE_MIN:
             return False
         lmax = max(len(p) for p in progs)
         # The dispatch table must sit inside DRAM, clear of the handler.

@@ -54,9 +54,6 @@ class CSRFile:
     def raw_read(self, addr: int) -> int:
         return self.values.get(addr, 0)
 
-    def raw_write(self, addr: int, value: int) -> None:
-        self.values[addr] = value & spec.WORD_MASK
-
     # -- architectural access -------------------------------------------------
 
     def read(self, addr: int, priv: int, instr_bits: int = 0) -> int:

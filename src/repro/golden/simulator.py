@@ -9,16 +9,33 @@ fuzzers rely on to keep exploring past exceptions.
 Steady-loop replay
 ------------------
 Many generated bodies settle into a loop whose whole state repeats and then
-spin until ``max_steps``.  :meth:`GoldenSimulator.run` appends the rest of
-such a run instead of interpreting it.  At each backward control transfer
-outside the trap handler the loop looks the state up by its key
-``(pc, priv, reservation, registers)`` (:func:`steady_period`).  When the
-key comes back twice with the same period ``P``, every step of both periods
-is traced, the two periods hold identical trace entries, and no instruction
-in them traps, touches a CSR, is a system instruction, an AMO/LR/SC or a
-fence, then every later period repeats the last one.  The run appends that
-period's entries once per whole period left, advances ``mcycle`` and
-``minstret`` by the skipped steps, and steps the tail to ``max_steps``.
+spin until ``max_steps``.  :meth:`GoldenSimulator.run` and ``RocketCore.run``
+append the rest of such a run instead of interpreting it, and one driver
+holds the rule for both: :class:`SteadyReplay`.  Each engine keeps its own
+step loop and calls :meth:`SteadyReplay.at_head` at each loop head, that is
+after each backward control transfer outside the trap handler.  There:
+
+- a trap since the last loop head ends the check, since no period ending
+  here can be replayed;
+- the state is looked up by its key ``(pc, priv, reservation,
+  registers)`` in a table of up to :data:`HEADS_CAP` keys, which starts
+  over when it fills (a counting loop brings no key back);
+- a period ``P`` is *steady* when the key came back twice with period
+  ``P``, every step of both periods is traced, the two periods hold
+  identical trace entries, and no instruction in them traps, touches a
+  CSR, is a system instruction, an AMO/LR/SC or a fence.  A key whose
+  periods repeat but hold such an instruction is not checked again;
+- an engine with microarchitectural state passes a function that returns
+  it (Rocket passes ``RocketCore._steady_state``).  A steady period then
+  replays only when that state equals what it was one period earlier at
+  the same key.  Once more than :data:`SETTLE_MISSES` steady periods
+  found it different, the run stops looking;
+- to replay, the driver appends the period's entries once per whole
+  period left before ``max_steps`` and advances ``mcycle`` and
+  ``minstret`` by the skipped steps.  It returns the skipped steps and
+  the engine's clock ticks they took (the passes times the clock's
+  advance over the last period); the engine advances its own clock-side
+  state and steps the tail.
 
 Why this is exact: the registers, pc, privilege and reservation at the two
 loop heads are equal by the key.  Memory is equal too: the first period
@@ -27,9 +44,10 @@ period stored the same bytes in the same order, so it changed nothing.  No
 instruction in the period reads or writes a CSR or traps, so the CSRs
 differ at most in the two counters, which nothing in the period reads.  A
 deterministic machine started twice from the same state runs the same
-period again, so its trace, stop reason and ``instret`` equal stepping's.
-:func:`step_instruction` itself is unchanged and still takes every step
-the run interprets; the lane engine peels to it.
+period again, so its trace, stop reason and ``instret`` equal stepping's;
+an engine's microarchitectural state, equal too, makes every later period
+the same cycle by cycle.  :func:`step_instruction` takes every step the
+run interprets, and the lane engine peels to it.
 
 The trap contract
 -----------------
@@ -95,8 +113,7 @@ TRAP_HANDLER = (
 )
 
 #: First address past the handler: steps at ``TRAP_VECTOR <= pc <
-#: HANDLER_END`` run the handler and go untraced unless
-#: ``SimConfig.trace_handler``.
+#: HANDLER_END`` run the handler and go untraced.
 HANDLER_END = TRAP_VECTOR + 4 * len(TRAP_HANDLER)
 
 
@@ -172,7 +189,7 @@ def step_instruction(
         return entry, traps_taken, None
 
     entry = None
-    if config.trace_handler or not TRAP_VECTOR <= pc < HANDLER_END:
+    if not TRAP_VECTOR <= pc < HANDLER_END:
         rd = result.rd or None  # x0 write-backs are not traced
         entry = TraceEntry(pc, word, state.priv, rd,
                            result.rd_value if rd else 0, result.mem, None, 0,
@@ -191,6 +208,11 @@ def step_instruction(
 #: not steady (a register counts every pass), so the table starts over.
 HEADS_CAP = 256
 
+#: Steady periods whose microarchitectural state may differ from one period
+#: earlier before a run stops looking for steady loops; the next such
+#: period stops it.
+SETTLE_MISSES = 8
+
 
 def _replayable(entry: TraceEntry) -> bool:
     """True when ``entry`` may be part of a replayed period: it did not
@@ -202,49 +224,80 @@ def _replayable(entry: TraceEntry) -> bool:
                 or spec.is_fence)
 
 
-def steady_period(heads: dict, key: tuple, steps: int,
-                  entries: list[TraceEntry]) -> int:
-    """Record that a run is at a loop head with state ``key`` after
-    ``steps`` steps, having traced ``entries``.
+class SteadyReplay:
+    """The loop-head side of steady-loop replay for one run (see the
+    module docstring).
 
-    ``heads`` maps each key the run has passed to ``(step, trace length,
-    period)``, up to ``HEADS_CAP`` keys.  Returns the period when the key
-    came back twice with that period, both periods are fully traced with
-    identical entries, and every entry is replayable (see the module
-    docstring); else 0.  A key whose periods repeat but cannot be
-    replayed is not checked again.
+    ``steady``, when given, returns the engine's microarchitectural state,
+    which a steady period must find equal one period earlier.
     """
-    n = len(entries)
-    seen = heads.get(key)
-    if seen is None:
-        if len(heads) >= HEADS_CAP:
-            heads.clear()
-        heads[key] = (steps, n, 0)
-        return 0
-    last_step, last_n, last_period = seen
-    if last_period is None:
-        return 0
-    period = steps - last_step
-    if n - last_n != period:
-        period = 0  # a handler step went untraced
-    elif period == last_period and (entries[n - 2 * period:n - period]
-                                    == entries[n - period:]):
-        if not all(map(_replayable, entries[n - period:])):
-            heads[key] = (steps, n, None)
-            return 0
-        heads[key] = (steps, n, period)
-        return period
-    heads[key] = (steps, n, period)
-    return 0
+
+    __slots__ = ("max_steps", "steady", "heads", "traps", "misses")
+
+    def __init__(self, max_steps: int, steady=None) -> None:
+        self.max_steps = max_steps
+        self.steady = steady
+        #: key -> (step, trace length, period, (steady state, clock) when
+        #: the period was steady but the state had not settled).  A period
+        #: of None marks a key whose periods cannot be replayed.
+        self.heads: dict = {}
+        self.traps = 0  # trap count at the last loop head
+        self.misses = 0
+
+    def at_head(self, state: ArchState, steps: int, traps: int,
+                entries: list[TraceEntry], clock: int = 0) -> tuple[int, int]:
+        """Check the loop head a run reached after ``steps`` steps and
+        ``traps`` traps, having traced ``entries``, with the engine's clock
+        at ``clock``.  Replays the whole periods left when the period
+        ending here is steady; returns ``(steps, clock ticks)`` replayed,
+        ``(0, 0)`` when none.
+        """
+        if traps != self.traps or self.misses > SETTLE_MISSES:
+            self.traps = traps
+            return 0, 0
+        key = (state.pc, state.priv, state.reservation, *state.regs)
+        heads = self.heads
+        n = len(entries)
+        seen = heads.get(key)
+        if seen is None:
+            if len(heads) >= HEADS_CAP:
+                heads.clear()
+            heads[key] = (steps, n, 0, None)
+            return 0, 0
+        last_step, last_n, last_period, settled = seen
+        if last_period is None:
+            return 0, 0
+        period = steps - last_step
+        if n - last_n != period:
+            period = 0  # a handler step went untraced
+        elif period == last_period and (entries[n - 2 * period:n - period]
+                                        == entries[n - period:]):
+            if not all(map(_replayable, entries[n - period:])):
+                heads[key] = (steps, n, None, None)
+                return 0, 0
+            if self.steady is not None:
+                steady = self.steady()
+                if settled is None or settled[0] != steady:
+                    self.misses += 1
+                    heads[key] = (steps, n, period, (steady, clock))
+                    return 0, 0
+                clock -= settled[1]
+            passes = (self.max_steps - steps) // period
+            skipped = passes * period
+            entries.extend(entries[-period:] * passes)
+            counters = state.csr.values
+            for csr in (CSR_MCYCLE, CSR_MINSTRET):
+                counters[csr] = (counters[csr] + skipped) & WORD_MASK
+            return skipped, passes * clock
+        heads[key] = (steps, n, period, None)
+        return 0, 0
 
 
 @dataclass
 class SimConfig:
-    """Execution limits and trace policy for one simulation run."""
+    """Execution limits for one simulation run."""
 
     max_steps: int = MAX_STEPS
-    #: Include instructions executed inside the trap handler in the trace.
-    trace_handler: bool = False
     #: Abort if this many traps occur (runaway trap loops — e.g. a wild jump
     #: into unmapped space faults on every subsequent fetch).
     max_traps: int = MAX_TRAPS
@@ -275,9 +328,9 @@ class GoldenSimulator:
         step = step_instruction
         entries = trace.entries
         append = entries.append
-        heads: dict = {}
-        head_traps = 0  # trap count at the last loop head
+        replay = SteadyReplay(max_steps)
         for steps in range(1, max_steps + 1):
+            pc = state.pc
             entry, traps_taken, stop = step(state, memory, config, traps_taken)
             if entry is not None:
                 append(entry)
@@ -285,30 +338,17 @@ class GoldenSimulator:
                 trace.stop_reason = stop
                 break
             # Loop heads follow backward transfers outside the handler.
-            if (entry is None or state.pc > entry.pc
-                    or TRAP_VECTOR <= entry.pc < HANDLER_END):
+            if state.pc > pc or TRAP_VECTOR <= pc < HANDLER_END:
                 continue
-            if traps_taken != head_traps:
-                # A trap since the last loop head: no period ending here
-                # can be replayed, so skip building the key.
-                head_traps = traps_taken
-                continue
-            period = steady_period(
-                heads, (state.pc, state.priv, state.reservation, *state.regs),
-                steps, entries)
-            if period:
-                passes, tail = divmod(max_steps - steps, period)
-                entries.extend(entries[-period:] * passes)
-                counters = state.csr.values
-                for csr in (CSR_MCYCLE, CSR_MINSTRET):
-                    counters[csr] = (counters[csr] + passes * period) & WORD_MASK
+            skipped = replay.at_head(state, steps, traps_taken, entries)[0]
+            if skipped:
                 # The tail repeats the period's first steps, which neither
                 # stop the run nor go untraced.
-                for _ in range(tail):
+                for _ in range(max_steps - steps - skipped):
                     append(step(state, memory, config, traps_taken)[0])
                 trace.stop_reason = "max_steps"
                 break
         else:
             trace.stop_reason = "max_steps"
-        trace.instret = len(trace.entries)
+        trace.instret = len(entries)
         return trace

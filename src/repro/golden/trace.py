@@ -93,10 +93,6 @@ class CommitTrace:
     def __getitem__(self, idx):
         return self.entries[idx]
 
-    @property
-    def trap_count(self) -> int:
-        return sum(1 for e in self.entries if e.trapped)
-
     def render(self, limit: int | None = None) -> str:
         """Multi-line human-readable log (``limit`` caps the line count)."""
         rows = [e.summary() for e in self.entries[:limit]]

@@ -126,10 +126,6 @@ class InstrSpec:
         """Loads, stores and atomics — everything that touches the D-side."""
         return self.is_load or self.is_store or self.is_amo
 
-    @property
-    def is_control_flow(self) -> bool:
-        return self.is_branch or self.is_jump
-
 
 def _match_mask(spec: InstrSpec) -> tuple[int, int]:
     """Compute the (match, mask) identification pair for ``spec``."""

@@ -126,10 +126,6 @@ class Tensor:
             node._backward = None
             node._parents = ()
 
-    def detach(self) -> "Tensor":
-        """A view of the data cut off from the graph."""
-        return Tensor(self.data)
-
     # -- shape utilities ------------------------------------------------------------
 
     @property

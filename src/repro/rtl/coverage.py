@@ -130,10 +130,6 @@ class ConditionCoverage:
     # -- introspection -------------------------------------------------------------
 
     @property
-    def num_conditions(self) -> int:
-        return len(self._names)
-
-    @property
     def total_arms(self) -> int:
         return 2 * len(self._names)
 

@@ -31,28 +31,23 @@ the pipeline state a trap flushes, and the ``max_traps`` check that sets
 
 Steady-loop replay
 ------------------
-:meth:`RocketCore.run` replays a steady loop as the golden model does
-(the :mod:`repro.golden.simulator` docstring gives the rule and the
-argument for the architectural state and memory).  Rocket adds a second
-key, :meth:`RocketCore._steady_state`: everything a later cycle can read.
-That is both caches' lines (valid, dirty, tag, data: Bug1 serves stale I$
+:meth:`RocketCore.run` replays steady loops through the golden model's
+driver, :class:`~repro.golden.simulator.SteadyReplay`, whose docstring
+gives the whole rule.  Rocket supplies two things.  Its microarchitectural
+state, :meth:`RocketCore._steady_state`, is everything a later cycle can
+read: both caches' lines (valid, dirty, tag, data: Bug1 serves stale I$
 lines) with the LRU order within each set, the BTB, the store buffer, the
 previous two write-backs, the link stack, the branch and CSR trackers, the
 tracer's ``_prev_was_load``, the D$ trackers and the CSRs other than
 ``mcycle``/``minstret``.  Each counter is saturated at the threshold the
 core compares it with (``LOOP_TAKEN`` and its neighbours below), and
 ``muldiv_busy_until`` is taken relative to ``cycles``.  Coverage needs no
-key: a repeated period records the arms it already recorded.
-
-Replay starts when a replayable period ends at a loop head whose key pair
-equals the one a period earlier.  From there every period is the same
-cycle by cycle, so the run appends the whole periods left before
-``max_steps``.  It adds their steps to ``iterations``, their entries to
-``instret``, and their cycles to ``cycles`` and ``muldiv_busy_until``,
-then steps the tail.  If ``SETTLE_MISSES`` replayable periods pass whose
-microarchitectural state still differs from one period earlier, the run
-stops looking.  :meth:`step_cycle`, :meth:`begin_run` and
-:meth:`finish_run` are unchanged, and the lane engine peels to them.
+key: a repeated period records the arms it already recorded.  Its clock
+is ``cycles``: after a replay the run adds the skipped steps to
+``iterations`` and ``instret`` and the skipped cycles to ``cycles`` and
+``muldiv_busy_until``, raises the timed counter CSR to ``cycles``, then
+steps the tail.  Replay takes no part in :meth:`step_cycle`,
+:meth:`begin_run` and :meth:`finish_run`, which the lane engine peels to.
 """
 
 from __future__ import annotations
@@ -62,7 +57,7 @@ from typing import NamedTuple
 from repro.golden.exceptions import Trap
 from repro.golden.executor import execute
 from repro.golden.memory import SparseMemory
-from repro.golden.simulator import (HANDLER_END, load_image, steady_period,
+from repro.golden.simulator import (HANDLER_END, SteadyReplay, load_image,
                                     take_trap)
 from repro.golden.state import ArchState
 from repro.golden.trace import CommitTrace
@@ -161,9 +156,6 @@ DEEP_CHAIN = 5
 #: mem.amo_chain: an AMO result feeds the next AMO only while fewer than
 #: this many memory accesses have passed.
 AMO_AGE = 5
-#: Replayable periods whose microarchitectural state may differ from one
-#: period earlier before a run stops looking for steady loops.
-SETTLE_MISSES = 8
 
 
 def _word_meta(ins: DecodedInstr) -> int:
@@ -490,39 +482,26 @@ class RocketCore(Module):
         step = self.step_cycle
         state = rs.state
         entries = rs.trace.entries
-        heads: dict = {}
-        #: loop-head key -> (steady state, cycles, step) at its last
-        #: replayable pass.
-        settled: dict[tuple, tuple] = {}
-        head_traps = 0  # trap count at the last loop head
-        misses = 0
+        replay = SteadyReplay(self.params.max_steps,
+                              lambda: self._steady_state(rs))
         while True:
             pc = state.pc
             if not step(rs):
                 return self.finish_run(rs)
             if state.pc > pc or TRAP_VECTOR <= pc < HANDLER_END:
                 continue
-            if rs.traps_taken != head_traps:
-                # A trap since the last loop head: no period ending here
-                # can be replayed, so skip building the key.
-                head_traps = rs.traps_taken
-                continue
-            key = (state.pc, state.priv, state.reservation, *state.regs)
-            steps = rs.iterations
-            period = steady_period(heads, key, steps, entries)
-            if not period:
-                continue
-            steady = self._steady_state(rs)
-            last = settled.get(key)
-            if (last is not None and last[2] == steps - period
-                    and last[0] == steady):
-                self._replay(rs, period, rs.cycles - last[1])
+            skipped, cycles = replay.at_head(state, rs.iterations,
+                                             rs.traps_taken, entries, rs.cycles)
+            if skipped:
                 break
-            misses += 1
-            if misses > SETTLE_MISSES:
-                break  # the state does not settle
-            settled[key] = (steady, rs.cycles, steps)
-        while step(rs):  # less than one period, or an unsettled run, is left
+        rs.iterations += skipped
+        rs.trace.instret += skipped
+        rs.cycles += cycles
+        rs.muldiv_busy_until += cycles
+        counters = state.csr.values
+        if self.params.timed_counter_csr and rs.cycles > counters[CSR_MCYCLE]:
+            counters[CSR_MCYCLE] = rs.cycles & WORD_MASK
+        while step(rs):  # less than one period is left
             pass
         return self.finish_run(rs)
 
@@ -559,23 +538,6 @@ class RocketCore(Module):
             [(addr, value) for addr, value in rs.state.csr.values.items()
              if addr not in counters],
         )
-
-    def _replay(self, rs: RunState, period: int, period_cycles: int) -> None:
-        """Append the whole periods of a steady loop left before
-        ``max_steps``; each took ``period`` steps and ``period_cycles``."""
-        passes = (self.params.max_steps - rs.iterations) // period
-        skipped = passes * period
-        trace = rs.trace
-        trace.entries.extend(trace.entries[-period:] * passes)
-        trace.instret += skipped
-        rs.iterations += skipped
-        rs.cycles += passes * period_cycles
-        rs.muldiv_busy_until += passes * period_cycles
-        counters = rs.state.csr.values
-        counters[CSR_MCYCLE] = (counters[CSR_MCYCLE] + skipped) & WORD_MASK
-        counters[CSR_MINSTRET] = (counters[CSR_MINSTRET] + skipped) & WORD_MASK
-        if self.params.timed_counter_csr and rs.cycles > counters[CSR_MCYCLE]:
-            counters[CSR_MCYCLE] = rs.cycles & WORD_MASK
 
     def begin_run(self, program: list[int], base: int = DRAM_BASE,
                   memory: SparseMemory | None = None) -> RunState:

@@ -155,14 +155,6 @@ def test_fallback_below_lane_minimum():
     assert_parity(bodies)
 
 
-def test_fallback_trace_handler():
-    """trace_handler=True always runs scalar (the analytic trap plane
-    elides handler commits by construction) — results must still match."""
-    bodies = [[0xFFFFFFFF, encode("addi", rd=1, rs1=0, imm=1)]
-              for _ in range(8)]
-    assert_parity(bodies, SimConfig(trace_handler=True))
-
-
 def test_empty_batch():
     assert GoldenBatchSimulator().run_batch([]) == []
 

@@ -105,7 +105,7 @@ class TestCsrInstructions:
 
     def test_csrrs_sets_bits(self):
         state = ArchState()
-        state.csr.raw_write(CSR_MSCRATCH, 0b0011)
+        state.csr.values[CSR_MSCRATCH] = 0b0011
         state.write_reg(1, 0b0110)
         step(state, "csrrs", rd=2, csr=CSR_MSCRATCH, rs1=1)
         assert state.read_reg(2) == 0b0011
@@ -113,7 +113,7 @@ class TestCsrInstructions:
 
     def test_csrrc_clears_bits(self):
         state = ArchState()
-        state.csr.raw_write(CSR_MSCRATCH, 0b1111)
+        state.csr.values[CSR_MSCRATCH] = 0b1111
         state.write_reg(1, 0b0101)
         step(state, "csrrc", rd=2, csr=CSR_MSCRATCH, rs1=1)
         assert state.csr.raw_read(CSR_MSCRATCH) == 0b1010

@@ -13,8 +13,7 @@ The bodies are the Rocket pin's sets plus the shapes that touch the trap
 handler's machinery: stores into the handler image, ``mtvec`` retargets,
 ``mscratch``/``mepc`` writes (including an ``mret`` to a pc that is 2 mod
 4), and step budgets that run out inside the handler.  Each set runs with
-the harness limits, with handler steps traced, and with a small trap
-budget.
+the harness limits and with a small trap budget.
 """
 
 from __future__ import annotations
@@ -23,17 +22,18 @@ import hashlib
 
 import pytest
 
-from repro.golden.simulator import GoldenSimulator, SimConfig
+from repro.golden.simulator import (GoldenSimulator, SimConfig, load_image,
+                                    step_instruction)
+from repro.golden.state import ArchState
 from repro.isa.assembler import Assembler
 from repro.isa.encoder import encode
-from repro.isa.spec import TRAP_VECTOR
+from repro.isa.spec import DRAM_BASE, TRAP_VECTOR
 from repro.soc.harness import build_program
 
 from soc.test_rocket_pin import BODY_SETS as ROCKET_BODY_SETS
 
 CONFIGS = {
     "default": SimConfig(),
-    "trace_handler": SimConfig(trace_handler=True),
     "few_traps": SimConfig(max_traps=3),
 }
 
@@ -200,39 +200,27 @@ BODY_SETS = {
 EXPECTED = {
     ("atomics", "default"): "97dd445b63e2275c",
     ("atomics", "few_traps"): "dac05aaf3df2dd63",
-    ("atomics", "trace_handler"): "26ffac1102b18c10",
     ("epc_scratch", "default"): "e683596aaf1e04be",
     ("epc_scratch", "few_traps"): "6cadc513b4ec8fe6",
-    ("epc_scratch", "trace_handler"): "534353695cae603f",
     ("fencei", "default"): "76bf7d411b84f335",
     ("fencei", "few_traps"): "76bf7d411b84f335",
-    ("fencei", "trace_handler"): "76bf7d411b84f335",
     ("handler_stores", "default"): "925fc0a234bf4bed",
     ("handler_stores", "few_traps"): "102e4ce0fabb9a93",
-    ("handler_stores", "trace_handler"): "9eb7a94a12a99899",
     ("loops", "default"): "d5a884195ee4cad3",
     ("loops", "few_traps"): "a1efb7e8cf597524",
-    ("loops", "trace_handler"): "0c19484501c9d41f",
     ("mtvec", "default"): "cfad20d2d79166a2",
     ("mtvec", "few_traps"): "6bcd95621e9f9c8a",
-    ("mtvec", "trace_handler"): "20cdb3391e214213",
     ("random24", "default"): "90e4300c9461670d",
     ("random24", "few_traps"): "248357b6b90d29d7",
-    ("random24", "trace_handler"): "c52c2a0e3c016623",
     ("random4", "default"): "34c24de4fa59cf9b",
     ("random4", "few_traps"): "8b44eab02bd22248",
-    ("random4", "trace_handler"): "3ac715147c4b138b",
     ("random64", "default"): "6d578c0a80a5def1",
     ("random64", "few_traps"): "ec808bf816a98396",
-    ("random64", "trace_handler"): "5d9d6d3610de3c5a",
     ("thehuzz", "default"): "e738e60a5a8b7ddf",
     ("thehuzz", "few_traps"): "3bfea6a747af899b",
-    ("thehuzz", "trace_handler"): "4a8772124edc3541",
     ("trap_storm", "default"): "a4d57544de7babec",
     ("trap_storm", "few_traps"): "42a2daf69fcd35ee",
-    ("trap_storm", "trace_handler"): "82e7a359979f43ae",
     ("budget", "default"): "1b279f6ce7aefc98",
-    ("budget", "trace_handler"): "2578c560b586e325",
 }
 
 
@@ -285,20 +273,34 @@ def _budget_programs() -> list[list[int]]:
     return [build_program(_asm(TRAP_LOOP))]
 
 
-@pytest.mark.parametrize("config", ["default", "trace_handler"])
-def test_budget_runs_out_inside_the_handler(config):
+def _last_pc(program: list[int], max_steps: int) -> int:
+    """The pc of the last step of ``program`` under ``max_steps``, found by
+    stepping :func:`step_instruction`, which also takes handler steps."""
+    state = ArchState(pc=DRAM_BASE)
+    memory = load_image(program, DRAM_BASE)
+    config = SimConfig(max_steps=max_steps)
+    traps = 0
+    for _ in range(max_steps):
+        pc = state.pc
+        traps, stop = step_instruction(state, memory, config, traps)[1:]
+        if stop is not None:
+            break
+    return pc
+
+
+def test_budget_runs_out_inside_the_handler():
     """Step budgets that end at every position of the handler stub."""
     program = _budget_programs()[0]
     first_trap = len(program) - len(_asm(TRAP_LOOP)) - 1
     handler = range(TRAP_VECTOR, TRAP_VECTOR + 24)
     h = hashlib.sha256()
-    ends_in_handler = 0
+    ends_in_handler = []
     for max_steps in range(first_trap, first_trap + 40):
-        limits = SimConfig(max_steps=max_steps,
-                           trace_handler=config == "trace_handler")
-        traced = GoldenSimulator(SimConfig(max_steps=max_steps,
-                                           trace_handler=True)).run(program)
-        ends_in_handler += traced.entries[-1].pc in handler
+        last = _last_pc(program, max_steps)
+        if last in handler:
+            ends_in_handler.append(last)
+        limits = SimConfig(max_steps=max_steps)
         h.update(repr(_digest(GoldenSimulator(limits), [program])).encode())
-    assert ends_in_handler >= 24
-    assert h.hexdigest()[:16] == EXPECTED["budget", config]
+    assert len(ends_in_handler) >= 24
+    assert set(ends_in_handler) == set(handler[::4])
+    assert h.hexdigest()[:16] == EXPECTED["budget", "default"]

@@ -14,7 +14,9 @@ loop-head table, and loops whose microarchitectural state settles late or
 never (``tests/soc/test_rocket_replay.py`` runs the same bodies on Rocket).
 ``REPLAYED`` names the loops that must replay, so a change that silently
 stops replaying, or starts replaying a period the rule excludes, fails
-here too.
+here too.  ``LOOP_STEPS`` and ``GENERATED_STEPS`` pin how many steps each
+body interprets, so a replay that starts a period early or late fails
+even when its trace matches.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.baselines.random_regression import RandomRegressionGenerator
 from repro.baselines.thehuzz import TheHuzzGenerator
 from repro.golden.memory import SparseMemory
 from repro.golden.simulator import (HEADS_CAP, GoldenSimulator, SimConfig,
-                                    steady_period, step_instruction,
+                                    SteadyReplay, step_instruction,
                                     trap_handler_image)
 from repro.golden.state import ArchState
 from repro.golden.trace import CommitTrace
@@ -37,7 +39,6 @@ from repro.soc.harness import build_program
 
 CONFIGS = {
     "default": SimConfig(),
-    "trace_handler": SimConfig(trace_handler=True),
 }
 
 
@@ -193,6 +194,21 @@ REPLAYED = {"spin", "alu", "load", "store_same", "store_toggle",
             "self_modifying", "muldiv", "call", "settles_late", "thrash",
             "count_then_spin"}
 
+#: Steps ``GoldenSimulator.run`` interprets per loop, and per generated
+#: body in order, under the default limits.  Recorded when the golden
+#: model and Rocket each kept their own loop-head bookkeeping.
+LOOP_STEPS = {
+    "alu": 96, "call": 32, "count_then_spin": 622, "csr_write": 4096,
+    "load": 28, "lr_sc": 4096, "mcycle_to_reg": 4096, "mcycle_to_x0": 4096,
+    "memory_counter": 4096, "muldiv": 36, "self_modifying": 40,
+    "settles_late": 40, "spin": 21, "store_same": 28, "store_toggle": 40,
+    "thrash": 32, "trap_every_pass": 587,
+}
+GENERATED_STEPS = [
+    473, 511, 98, 467, 33, 469, 469, 31, 79, 463, 461, 462, 103, 474, 462,
+    97, 91, 35, 462, 58, 21, 465, 469, 127, 19, 98, 103, 79,
+]
+
 
 def _asm(text: str) -> list[int]:
     return Assembler().assemble(text)
@@ -304,11 +320,12 @@ def test_loop_entered_just_before_the_budget_ends(name):
 def test_replays_exactly_the_steady_loops(monkeypatch, name):
     """The loops in REPLAYED skip steps; every other loop steps to its
     end (a period with a CSR access, trap, AMO/LR/SC, or whose stores
-    differ, is never replayed)."""
+    differ, is never replayed).  Replay starts at the pinned step."""
     sim = GoldenSimulator()
     trace, steps = count_steps(monkeypatch, sim, loop_programs()[name])
     replayed = trace.stop_reason == "max_steps" and steps < 4096
     assert replayed == (name in REPLAYED)
+    assert steps == LOOP_STEPS[name]
 
 
 def test_spin_loop_interprets_few_steps(monkeypatch):
@@ -318,8 +335,16 @@ def test_spin_loop_interprets_few_steps(monkeypatch):
     assert steps < 64
 
 
+def test_generated_steps_are_pinned(monkeypatch):
+    sim = GoldenSimulator()
+    assert [count_steps(monkeypatch, sim, program)[1]
+            for program in generated_programs()] == GENERATED_STEPS
+
+
 def test_loop_head_table_is_bounded():
-    heads: dict = {}
+    replay = SteadyReplay(4096)
+    state = ArchState()
     for step in range(1, 3 * HEADS_CAP):
-        steady_period(heads, (step,), step, [])
-        assert len(heads) <= HEADS_CAP
+        state.pc = 4 * step
+        replay.at_head(state, step, 0, [])
+        assert len(replay.heads) <= HEADS_CAP

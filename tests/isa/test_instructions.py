@@ -68,12 +68,6 @@ class TestClassification:
         assert INSTRUCTIONS["amoadd.d"].is_memory
         assert not INSTRUCTIONS["add"].is_memory
 
-    def test_control_flow(self):
-        assert INSTRUCTIONS["beq"].is_control_flow
-        assert INSTRUCTIONS["jal"].is_control_flow
-        assert INSTRUCTIONS["jalr"].is_control_flow
-        assert not INSTRUCTIONS["lw"].is_control_flow
-
     def test_writes_rd(self):
         assert INSTRUCTIONS["add"].writes_rd
         assert INSTRUCTIONS["jal"].writes_rd

@@ -185,11 +185,6 @@ class TestGraphSemantics:
         with pytest.raises(ValueError):
             (t * 2.0).backward()
 
-    def test_detach_stops_gradient(self):
-        t = Tensor.param(np.ones(3, dtype=np.float32))
-        (t.detach() * 5.0 + t).sum().backward()
-        assert np.allclose(t.grad, 1.0)
-
     def test_no_grad_disables_graph(self):
         t = Tensor.param(np.ones(3, dtype=np.float32))
         with no_grad():

@@ -10,7 +10,6 @@ class TestDeclaration:
         cov = ConditionCoverage()
         assert cov.declare("a") == 0
         assert cov.declare("b") == 1
-        assert cov.num_conditions == 2
         assert cov.total_arms == 4
 
     def test_duplicate_rejected(self):

@@ -10,14 +10,18 @@ coverage bitmap both ways, under the default core, the bug-free core,
 4-way caches and the timed counter CSR.
 
 The bodies are the golden replay test's (``tests/golden/test_replay.py``).
+``LOOP_CYCLES`` and the golden test's ``GENERATED_STEPS`` pin how many
+cycles each body steps, so a replay that starts a period early or late
+fails even when its trace and coverage match.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from golden.test_replay import (BUDGET_LOOPS, LOOPS, _asm, generated_programs,
-                                late_loop_program, loop_programs)
+from golden.test_replay import (BUDGET_LOOPS, GENERATED_STEPS, LOOPS, _asm,
+                                generated_programs, late_loop_program,
+                                loop_programs)
 from repro.golden.trace import CommitTrace
 from repro.rtl.report import CoverageReport
 from repro.soc.rocket import RocketCore, RocketParams
@@ -35,6 +39,19 @@ PARAMS = {
 REPLAYED = {"spin", "alu", "load", "store_same", "store_toggle",
             "self_modifying", "muldiv", "call", "settles_late",
             "count_then_spin"}
+
+#: How many times ``RocketCore.run`` calls ``step_cycle`` per loop under
+#: the default params; a run that reaches ``max_steps`` makes one more
+#: call, which finds the budget spent.  Recorded when the golden model and
+#: Rocket each kept their own loop-head bookkeeping.  No generated body
+#: runs to ``max_steps``, so Rocket steps them as the golden model does.
+LOOP_CYCLES = {
+    "alu": 129, "call": 37, "count_then_spin": 624, "csr_write": 4097,
+    "load": 38, "lr_sc": 4097, "mcycle_to_reg": 4097, "mcycle_to_x0": 4097,
+    "memory_counter": 4097, "muldiv": 42, "self_modifying": 47,
+    "settles_late": 47, "spin": 23, "store_same": 32, "store_toggle": 49,
+    "thrash": 4097, "trap_every_pass": 587,
+}
 
 
 def stepped(core: RocketCore, program: list[int]):
@@ -111,10 +128,11 @@ def test_loop_entered_just_before_the_budget_ends(name):
 @pytest.mark.parametrize("name", sorted(LOOPS))
 def test_replays_exactly_the_steady_loops(name):
     """The loops in REPLAYED skip cycles; every other loop steps to its
-    end."""
+    end.  Replay starts at the pinned cycle."""
     (trace, _), cycles = count_cycles(RocketCore(), loop_programs()[name])
     replayed = trace.stop_reason == "max_steps" and cycles <= 4096
     assert replayed == (name in REPLAYED)
+    assert cycles == LOOP_CYCLES[name]
 
 
 def test_thrash_replays_on_four_ways():
@@ -129,3 +147,9 @@ def test_spin_loop_steps_few_cycles():
     assert trace.stop_reason == "max_steps" and trace.instret > 4000
     assert report.cycles > 4000
     assert cycles < 64
+
+
+def test_generated_cycles_are_pinned():
+    core = RocketCore()
+    assert [count_cycles(core, program)[1]
+            for program in generated_programs()] == GENERATED_STEPS
