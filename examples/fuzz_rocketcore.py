@@ -104,14 +104,18 @@ for name, generator in [
 if sink.enabled:
     sink.close()
 
-rows = []
+# Each row is a real curve point: the first at or past 20%, 50% and 100%
+# of the budget (shares that land on one point share its row).  Every
+# fuzzer runs batches of 20, so their curves share these points.
+points = {}
 for fraction in (0.2, 0.5, 1.0):
-    at = int(args.tests * fraction)
-    sim_hours = results["ChatFuzz"].curve[-1].sim_hours * fraction
-    rows.append([at, f"{sim_hours:.2f}"] + [
-        f"{results[name].coverage_at_tests(at):.1f}"
-        for name in ("ChatFuzz", "TheHuzz", "random")
-    ])
+    point = next(point for point in results["ChatFuzz"].curve
+                 if point.tests >= args.tests * fraction)
+    points[point.tests] = point
+rows = [[point.tests, f"{point.sim_hours:.2f}"] + [
+    f"{results[name].coverage_at_tests(point.tests):.1f}"
+    for name in ("ChatFuzz", "TheHuzz", "random")
+] for point in points.values()]
 print()
 print(format_table(
     ["tests", "sim-hours", "ChatFuzz", "TheHuzz", "random"], rows,

@@ -11,9 +11,8 @@ cross-campaign E-BUGS detection table with per-campaign attribution.
 
 Run:  python examples/run_fleet.py [--tests N] [--workers W]
           [--scheduler none|roundrobin|bandit] [--mode rounds|streaming]
-          [--slice N] [--checkpoint DIR] [--recover-checkpoint]
-          [--seeds K] [--no-chatfuzz] [--max-retries N]
-          [--slice-timeout S] [--no-quarantine]
+          [--slice N] [--checkpoint DIR] [--seeds K] [--no-chatfuzz]
+          [--max-retries N] [--slice-timeout S] [--no-quarantine]
           [--chaos-seed SEED] [--chaos-rate P] [--chaos-kinds K[,K]]
           [--store DIR] [--dashboard PORT]
           [--harness rocket|boom] [--golden-lanes N] [--dut-lanes N]
@@ -29,8 +28,13 @@ Useful shapes:
   workers saturated: slices are dispatched as workers free up instead of
   waiting at round barriers (see ``--mode`` help for the determinism
   tradeoff).
-- ``--checkpoint DIR`` makes the run resumable: kill it, rerun the same
-  command, and completed slices are not redone.
+- ``--checkpoint DIR`` makes the run resumable: kill it at any moment,
+  rerun the same command, and committed slices are not redone.  Each
+  completed slice (each round, in rounds mode) writes its arms' state to
+  new files and is committed when ``DIR/manifest.json`` names them; the
+  arm files it no longer names are then deleted, and other files in DIR
+  (such as the cached ChatFuzz generators) are kept.  A kill leaves the
+  last commit whole, and the rerun runs what it did not commit again.
 - ``--chaos-seed 7 --chaos-rate 0.2 --workers 2`` injects a deterministic
   fault plan (raised exceptions by default; add ``--chaos-kinds
   raise,hang,die`` for hung slices and worker deaths) to watch the fleet
@@ -100,11 +104,6 @@ parser.add_argument("--slice", type=int, default=40, metavar="N",
                     dest="slice_tests", help="tests per scheduler slice")
 parser.add_argument("--checkpoint", metavar="DIR", default=None,
                     help="checkpoint directory (enables resume)")
-parser.add_argument("--recover-checkpoint", action="store_true",
-                    help="resume past torn checkpoint snapshots (a previous "
-                         "run killed mid-write): fall back to the last "
-                         "intact per-arm snapshot, or restart the arm, "
-                         "instead of refusing to load")
 parser.add_argument("--seeds", type=int, default=1, metavar="K",
                     help="seed-sweep: K arms per fuzzer kind")
 parser.add_argument("--harness", choices=("rocket", "boom"), default="rocket",
@@ -245,7 +244,6 @@ if args.store is not None:
 try:
     with FleetRunner(specs, n_workers=args.workers,
                      checkpoint_dir=args.checkpoint,
-                     checkpoint_recover=args.recover_checkpoint,
                      max_retries=args.max_retries,
                      slice_timeout=args.slice_timeout,
                      quarantine=not args.no_quarantine,
@@ -273,17 +271,25 @@ if not result.health.healthy:
     print(fleet_health_table(result.health))
 
 names = [spec.name for spec in specs]
-rows = []
+# Each row is a real curve point of the longest-running arm: the first at
+# or past 20%, 50% and 100% of the budget (shares that land on one point
+# share its row).  An arm that stopped short of a row reads "-".
+reference = max(result.campaigns, key=lambda campaign: campaign.tests_run)
+points = {}
 for fraction in (0.2, 0.5, 1.0):
-    at = int(args.tests * fraction)
-    rows.append([at] + [
-        f"{campaign.coverage_at_tests(at):.1f}"
-        for campaign in result.campaigns
-    ])
+    point = next((point for point in reference.curve
+                  if point.tests >= args.tests * fraction), None)
+    if point is not None:
+        points[point.tests] = point
+rows = [[point.tests, f"{point.sim_hours:.2f}"] + [
+    f"{campaign.coverage_at_tests(point.tests):.1f}"
+    if campaign.tests_run >= point.tests else "-"
+    for campaign in result.campaigns
+] for point in points.values()]
 print()
 core_label = {"rocket": "RocketCore", "boom": "BOOM"}[args.harness]
 print(format_table(
-    ["tests"] + names, rows,
+    ["tests", "sim-hours"] + names, rows,
     title=f"condition coverage %, {core_label} (paper Fig. 2 shape)",
 ))
 

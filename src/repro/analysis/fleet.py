@@ -134,7 +134,7 @@ def fleet_stats_table(stats: Mapping[str, FleetStats],
 
 def fleet_health_rows(health: FleetHealth) -> list[list[str]]:
     """Fault-tolerance ledger rows: the recovery counters, then one row
-    per quarantined arm (and per dropped checkpoint snapshot).
+    per quarantined arm.
 
     Columns: event, arm, detail.  Empty on a healthy run — callers
     usually gate on ``health.healthy`` and skip the table entirely.
@@ -155,8 +155,6 @@ def fleet_health_rows(health: FleetHealth) -> list[list[str]]:
             f"after {record.retries} retries at {record.tests_run} tests: "
             f"{record.error}",
         ])
-    for note in health.dropped_snapshots:
-        rows.append(["dropped snapshot", "-", note])
     return rows
 
 

@@ -84,9 +84,7 @@ class FuzzLoop:
         generator,
         harness=None,
         batch_size: int = 16,
-        clock: SimClock | None = None,
         use_default_filters: bool = True,
-        scorer: CoverageScorer | None = None,
         executor: HarnessExecutor | None = None,
         sink: EventSink = NULL_SINK,
     ) -> None:
@@ -101,9 +99,9 @@ class FuzzLoop:
         self.executor = (executor if executor is not None
                          else SerialExecutor(harness))
         self.batch_size = batch_size
-        self.clock = clock or SimClock()
+        self.clock = SimClock()
         self.calculator = CoverageCalculator(self.executor.total_arms)
-        self.scorer = scorer or CoverageScorer()
+        self.scorer = CoverageScorer()
         self.detector = MismatchDetector(
             filters=[counter_csr_filter] if use_default_filters else []
         )

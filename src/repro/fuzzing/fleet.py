@@ -29,12 +29,12 @@ experiment engine:
   determinism contract on :meth:`FleetRunner.run_scheduled`).
   :meth:`FleetRunner.run` is the streaming loop with round-robin picks
   and each arm's whole budget as one slice.
-- checkpoint/resume — with ``checkpoint_dir`` set, per-campaign state is
-  snapshotted as JSON (scalars + curve) + ``.cov`` bitmap + ``.pkl``
-  (generator/detector) incrementally, as each slice completes (round mode
-  batches the writes at its barrier), so a killed fleet resumes without
-  losing completed slices and finishes with a result equal to an
-  uninterrupted run.
+- checkpoint/resume — with ``checkpoint_dir`` set, each completed slice's
+  campaign state is pickled to a new file and committed by rewriting the
+  manifest that names it (round mode commits once per round), so a fleet
+  killed at any moment resumes from its last commit without losing
+  committed slices and finishes with a result equal to an uninterrupted
+  run.
 - :class:`FleetResult` — aggregation: unions the campaigns' packed
   ``final_coverage`` bitmaps, merges their coverage curves onto a shared
   sim-hours epoch, and dedupes mismatch signatures across campaigns
@@ -62,6 +62,7 @@ vs. harness workers" guidance).
 from __future__ import annotations
 
 import copy
+import ctypes
 import hashlib
 import inspect
 import json
@@ -280,15 +281,12 @@ class FleetHealth:
     pool_rebuilds: int = 0
     #: Arms removed from scheduling, in quarantine order.
     quarantined: list[QuarantinedArm] = field(default_factory=list)
-    #: Checkpoint snapshots dropped by torn-write recovery (human-readable;
-    #: empty unless ``checkpoint_recover`` salvaged a resume).
-    dropped_snapshots: list[str] = field(default_factory=list)
 
     @property
     def healthy(self) -> bool:
         """True when the run needed no recovery of any kind."""
         return not (self.retries or self.timeouts or self.pool_rebuilds
-                    or self.quarantined or self.dropped_snapshots)
+                    or self.quarantined)
 
     def quarantined_arms(self) -> set[int]:
         return {record.arm for record in self.quarantined}
@@ -303,7 +301,6 @@ class FleetHealth:
                  "retries": q.retries, "tests_run": q.tests_run}
                 for q in self.quarantined
             ],
-            "dropped_snapshots": list(self.dropped_snapshots),
         }
 
     @classmethod
@@ -318,18 +315,14 @@ class FleetHealth:
                                tests_run=int(q["tests_run"]))
                 for q in state.get("quarantined", [])
             ],
-            dropped_snapshots=list(state.get("dropped_snapshots", [])),
         )
 
     def summary(self) -> str:
         if self.healthy:
             return "health: ok"
-        parts = [f"{self.retries} retries", f"{self.timeouts} timeouts",
-                 f"{self.pool_rebuilds} pool rebuilds"]
-        if self.dropped_snapshots:
-            parts.append(f"{len(self.dropped_snapshots)} dropped snapshots")
-        lines = ["health: " + ", ".join(parts) +
-                 f", {len(self.quarantined)} quarantined"]
+        lines = [f"health: {self.retries} retries, {self.timeouts} timeouts, "
+                 f"{self.pool_rebuilds} pool rebuilds, "
+                 f"{len(self.quarantined)} quarantined"]
         lines += [
             f"  quarantined {q.name!r} (arm {q.arm}) after {q.retries} "
             f"retries at {q.tests_run} tests: {q.error}"
@@ -499,8 +492,38 @@ _WORKER_SPECS: list[CampaignSpec] | None = None
 _WORKER_CAMPAIGNS: dict[int, Campaign] = {}
 
 
+def _one_blas_thread() -> None:
+    """Limit every loaded OpenBLAS to one thread; a no-op without one.
+
+    A fleet takes its parallelism from worker processes, so a worker that
+    kept the library's default of one thread per core would oversubscribe
+    the machine as soon as two workers sample a model at once.  The
+    library is found in this process's memory map and called through
+    ctypes.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps
+                     if "openblas" in line.lower()}
+        libraries = [ctypes.CDLL(path) for path in sorted(paths)]
+    except OSError:
+        return
+    for lib in libraries:
+        for symbol in ("scipy_openblas_set_num_threads64_",
+                       "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
 def _fleet_init(specs: list[CampaignSpec]) -> None:
+    """Pool worker start-up: one BLAS thread, the fleet's specs and an
+    empty campaign cache."""
     global _WORKER_SPECS, _WORKER_CAMPAIGNS
+    _one_blas_thread()
     _WORKER_SPECS = specs
     _WORKER_CAMPAIGNS = {}
 
@@ -624,116 +647,73 @@ class _SliceTask:
 
 
 class FleetCheckpoint:
-    """JSON+bitmap snapshots of per-campaign fleet state.
+    """A fleet's resumable state: one pickle per arm, committed by a
+    manifest.
 
-    Layout under ``directory`` (one set per campaign arm ``i``):
+    Layout under ``directory``:
 
-    - ``campaign_<i>.json`` — human-readable scalars: tests run, sim clock,
-      coverage curve (bitmaps hex-packed per point), mismatch counters;
-    - ``campaign_<i>.cov``  — the packed cumulative coverage bitmap;
-    - ``campaign_<i>.pkl``  — the generator + detector objects (the state
-      with no faithful JSON form: RNGs, corpora, signature dicts);
-    - ``manifest.json``     — fleet-level: spec fingerprints, per-arm test
-      counts, scheduler state, rounds completed.
+    - ``campaign_<i>-<tests>.pkl`` — arm ``i``'s whole
+      :meth:`~repro.fuzzing.campaign.Campaign.state_dict` after ``tests``
+      tests, in a new file for every snapshot;
+    - ``manifest.json`` — fleet-level: spec fingerprints, per-arm test
+      counts (which name the arm files), scheduler state, rounds
+      completed and the health ledger.
 
-    Torn-write safety: every file is written to a temp name and
-    ``os.replace``d (each file is all-or-nothing), the manifest is written
-    last, and all three arm artifacts carry the arm's test count (the JSON
-    directly, the pickle via a ``tests_run`` stamp, the bitmap via its
-    popcount — coverage only ever grows, so equal popcounts mean equal
-    bitmaps).  A kill between any two writes therefore leaves a mix that
-    :meth:`load_arm` detects and refuses rather than silently resuming
-    from inconsistent state.  With ``recover=True`` a torn arm does not
-    block resume: :meth:`recover_arm` falls back to the arm's last
-    *internally* consistent snapshot — the arm files may legitimately be
-    one slice ahead of a manifest the kill pre-empted — and drops the arm
-    (restart from scratch) only when no intact snapshot exists, reporting
-    either way so :class:`FleetHealth` can surface what was lost.
+    The manifest is the commit point.  Every file is written to a temp
+    name and ``os.replace``d, the arm files before the manifest that names
+    them, and a resume reads only the files the manifest names.  Once a
+    new manifest is in place, the arm files it does not name are deleted;
+    nothing else in the directory is touched.  So a kill at any moment
+    leaves the last commit whole, and a resume runs whatever the kill
+    left uncommitted again from there.
     """
 
-    def __init__(self, directory: Path, specs: Sequence[CampaignSpec],
-                 recover: bool = False) -> None:
+    def __init__(self, directory: Path,
+                 specs: Sequence[CampaignSpec]) -> None:
         self.directory = Path(directory)
-        self.specs = list(specs)
-        self.recover = recover
+        self.manifest_path = self.directory / "manifest.json"
+        self.fingerprints = [spec.fingerprint() for spec in specs]
 
-    def _fingerprints(self) -> list[str]:
-        return [spec.fingerprint() for spec in self.specs]
+    def _arm_path(self, index: int, tests: int) -> Path:
+        return self.directory / f"campaign_{index}-{tests}.pkl"
 
-    @property
-    def manifest_path(self) -> Path:
-        return self.directory / "manifest.json"
-
-    def _arm_paths(self, index: int) -> tuple[Path, Path, Path]:
-        stem = self.directory / f"campaign_{index}"
-        return (stem.with_suffix(".json"), stem.with_suffix(".cov"),
-                stem.with_suffix(".pkl"))
-
-    # -- save ------------------------------------------------------------------
-
-    @staticmethod
-    def _write_atomic(path: Path, data: bytes) -> None:
+    def _write_atomic(self, path: Path, data: bytes) -> None:
         """All-or-nothing file write (temp + rename): a kill mid-write can
-        never leave a truncated artifact behind."""
+        never leave a truncated file behind."""
+        self.directory.mkdir(parents=True, exist_ok=True)
         temp = path.with_name(path.name + ".tmp")
         temp.write_bytes(data)
         os.replace(temp, path)
 
     def save_arm(self, index: int, state: dict) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        json_path, cov_path, pkl_path = self._arm_paths(index)
-        loop = state["loop"]
-        coverage: Bitset = loop["coverage"]
-        detector = loop["detector"]
-        self._write_atomic(cov_path, coverage.to_bytes())
-        self._write_atomic(pkl_path, pickle.dumps({
-            "tests_run": loop["tests_run"],  # cross-file consistency stamp
-            "generator": loop["generator"],
-            "detector": detector,
-        }))
-        document = {
-            "name": self.specs[index].name,
-            "tests_run": loop["tests_run"],
-            "clock_seconds": loop["clock_seconds"],
-            "clock_started": loop["clock_started"],
-            "total_arms": coverage.nbits,
-            "covered_arms": len(coverage),
-            "raw_mismatches": detector.raw_count,
-            "filtered_mismatches": detector.filtered_count,
-            "unique_mismatches": detector.unique_count,
-            "curve": [
-                {
-                    "tests": point.tests,
-                    "sim_hours": point.sim_hours,
-                    "coverage_percent": point.coverage_percent,
-                    "hits": (point.hits.to_bytes().hex()
-                             if point.hits is not None else None),
-                }
-                for point in (state["curve"] or [])
-            ],
-        }
-        self._write_atomic(json_path,
-                           (json.dumps(document, indent=2) + "\n").encode())
+        """Write arm ``index``'s campaign state to a new file, which counts
+        once a manifest names it."""
+        self._write_atomic(self._arm_path(index, state["loop"]["tests_run"]),
+                           pickle.dumps(state))
 
     def save_manifest(self, states: dict[int, dict],
                       scheduler: BudgetScheduler | None,
                       rounds: int,
                       health: FleetHealth | None = None) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
+        """Commit ``states``: replace the manifest, then delete the arm
+        files it does not name."""
+        tests = {index: state["loop"]["tests_run"]
+                 for index, state in states.items()}
         manifest = {
-            "fingerprints": self._fingerprints(),
+            "fingerprints": self.fingerprints,
             "rounds": rounds,
-            "arms": {
-                str(index): {"tests_run": state["loop"]["tests_run"]}
-                for index, state in states.items()
-            },
+            "arms": {str(index): {"tests_run": count}
+                     for index, count in tests.items()},
             "scheduler": scheduler.state_dict() if scheduler else None,
             "health": health.state_dict() if health is not None else None,
         }
         self._write_atomic(self.manifest_path,
                            (json.dumps(manifest, indent=2) + "\n").encode())
-
-    # -- load ------------------------------------------------------------------
+        named = {self._arm_path(index, count).name
+                 for index, count in tests.items()}
+        for path in self.directory.glob("campaign_*-*.pkl"):
+            if path.name not in named:
+                path.unlink()
 
     def load(self) -> dict | None:
         """The manifest, or None when no checkpoint exists yet.
@@ -744,7 +724,7 @@ class FleetCheckpoint:
         if not self.manifest_path.exists():
             return None
         manifest = json.loads(self.manifest_path.read_text())
-        if manifest["fingerprints"] != self._fingerprints():
+        if manifest["fingerprints"] != self.fingerprints:
             raise ValueError(
                 f"checkpoint at {self.directory} was written for different "
                 "campaign specs; point the fleet at a fresh directory or "
@@ -753,82 +733,24 @@ class FleetCheckpoint:
         return manifest
 
     def load_arm(self, index: int, expected_tests: int) -> dict:
-        json_path, cov_path, pkl_path = self._arm_paths(index)
-        document = json.loads(json_path.read_text())
+        """Arm ``index``'s state from the file the manifest names.
 
-        def torn(artifact: str, found) -> ValueError:
-            return ValueError(
-                f"torn checkpoint for arm {index}: manifest says "
-                f"{expected_tests} tests, {artifact} says {found} — "
-                f"delete {self.directory} and rerun"
-            )
-
-        if document["tests_run"] != expected_tests:
-            raise torn(json_path.name, document["tests_run"])
-        total_arms = document["total_arms"]
-        coverage = Bitset.from_bytes(cov_path.read_bytes(), total_arms)
-        # Coverage grows monotonically, so a bitmap from any other round
-        # has a different popcount — this pins .cov to the JSON's round.
-        if len(coverage) != document["covered_arms"]:
-            raise torn(cov_path.name, f"{len(coverage)} covered arms")
-        with pkl_path.open("rb") as fh:
-            opaque = pickle.load(fh)
-        if opaque["tests_run"] != expected_tests:
-            raise torn(pkl_path.name, opaque["tests_run"])
-        curve = [
-            CurvePoint(
-                tests=point["tests"],
-                sim_hours=point["sim_hours"],
-                coverage_percent=point["coverage_percent"],
-                hits=(Bitset.from_bytes(bytes.fromhex(point["hits"]),
-                                        total_arms)
-                      if point["hits"] is not None else None),
-            )
-            for point in document["curve"]
-        ]
-        return {
-            "loop": {
-                "generator": opaque["generator"],
-                "detector": opaque["detector"],
-                "coverage": coverage,
-                "clock_seconds": document["clock_seconds"],
-                "clock_started": document["clock_started"],
-                "tests_run": document["tests_run"],
-            },
-            "curve": curve or None,
-        }
-
-    def recover_arm(self, index: int,
-                    expected_tests: int) -> tuple[dict | None, str | None]:
-        """Best-effort arm load for torn-write recovery: ``(state, note)``.
-
-        First tries the strict :meth:`load_arm`.  On a tear, retries at
-        the test count the arm's own JSON claims — a kill between the arm
-        writes and the manifest write leaves the arm files intact but
-        *ahead* of the manifest, and that completed work is recoverable.
-        If the arm files disagree among themselves too, the snapshot is
-        unusable: returns ``(None, note)`` and the arm restarts from
-        scratch.  ``note`` is non-None whenever anything was dropped.
+        Raises when that file is missing or holds another test count,
+        which no kill can cause: the directory was changed outside the
+        fleet, or holds a checkpoint of another layout.
         """
-        try:
-            return self.load_arm(index, expected_tests), None
-        except Exception as torn:
-            try:
-                json_path = self._arm_paths(index)[0]
-                actual = json.loads(json_path.read_text())["tests_run"]
-                if actual != expected_tests:
-                    state = self.load_arm(index, actual)
-                    return state, (
-                        f"arm {index}: manifest said {expected_tests} tests "
-                        f"but found an intact snapshot at {actual}; resumed "
-                        f"from the snapshot"
-                    )
-            except Exception:
-                pass
-            return None, (
-                f"arm {index}: snapshot dropped, restarting the arm from "
-                f"scratch ({torn})"
-            )
+        path = self._arm_path(index, expected_tests)
+        found = "is missing"
+        if path.exists():
+            state = pickle.loads(path.read_bytes())
+            if state["loop"]["tests_run"] == expected_tests:
+                return state
+            found = f"says {state['loop']['tests_run']}"
+        raise ValueError(
+            f"torn checkpoint for arm {index}: manifest says "
+            f"{expected_tests} tests, {path.name} {found} — delete "
+            f"{self.directory} and rerun"
+        )
 
 
 # -- the runner ----------------------------------------------------------------
@@ -847,18 +769,19 @@ class FleetRunner:
         ``0`` runs every slice in-process, on a pool of one that takes
         the pooled dispatch path (deterministic and free of worker
         processes — the right mode for tests and one-core machines);
-        ``N >= 1`` shards slices over ``N`` worker processes.  Defaults
-        to the machine's core count.  Results are identical across modes
-        (for scheduled runs, at equal ``concurrent_slices``): state
-        travels with each slice, so placement never affects behaviour.
+        ``N >= 1`` shards slices over ``N`` worker processes, each of
+        which limits OpenBLAS to one thread (an in-process fleet leaves
+        the caller's BLAS alone).  Defaults to the machine's core count.
+        Results are identical across modes (for scheduled runs, at equal
+        ``concurrent_slices``): state travels with each slice, so
+        placement never affects behaviour.
     checkpoint_dir:
-        Enables :class:`FleetCheckpoint` snapshots (written incrementally,
-        as slices complete) and resume-on-construction: an existing
-        compatible checkpoint is loaded and completed work is not redone.
-    checkpoint_recover:
-        Torn-write recovery on resume: instead of refusing a torn arm
-        snapshot, fall back to its last intact state (or restart the arm)
-        and report the loss in ``FleetHealth.dropped_snapshots``.
+        Enables :class:`FleetCheckpoint`: each completed slice (each
+        round, in rounds mode) is committed by the manifest, and every
+        entry point first resumes from the last commit, so committed work
+        is not redone.  A kill at any moment leaves the last commit
+        whole, so a resume needs no options; what the kill left
+        uncommitted runs again from the committed state.
     max_retries:
         Retries per slice after a retryable failure (any ``Exception``,
         including worker death and timeouts) before the arm is handled
@@ -914,7 +837,6 @@ class FleetRunner:
     def __init__(self, specs: Sequence[CampaignSpec],
                  n_workers: int | None = None,
                  checkpoint_dir: str | Path | None = None,
-                 checkpoint_recover: bool = False,
                  max_retries: int = 2,
                  retry_backoff: float = 0.05,
                  slice_timeout: float | None = None,
@@ -937,8 +859,7 @@ class FleetRunner:
                 f"slice_timeout must be positive or None, got {slice_timeout}"
             )
         self.checkpoint = (
-            FleetCheckpoint(Path(checkpoint_dir), self.specs,
-                            recover=checkpoint_recover)
+            FleetCheckpoint(Path(checkpoint_dir), self.specs)
             if checkpoint_dir is not None else None
         )
         self.max_retries = max_retries
@@ -1244,39 +1165,22 @@ class FleetRunner:
         return 0 if state is None else state["loop"]["tests_run"]
 
     def _load_states(self, scheduler: BudgetScheduler | None):
-        """(states, rounds, health) from the checkpoint, or fresh.
+        """(states, rounds, health) from the checkpoint's last commit, or
+        fresh.
 
         ``health`` starts as the persisted ledger (quarantined arms stay
         quarantined across resume) and keeps accumulating through the
-        run.  In recovery mode a torn arm snapshot falls back to its last
-        intact state via :meth:`FleetCheckpoint.recover_arm` instead of
-        blocking the resume.
+        run.
         """
-        states: dict[int, dict] = {}
-        health = FleetHealth()
-        if self.checkpoint is None:
-            return states, 0, health
-        manifest = self.checkpoint.load()
+        manifest = self.checkpoint.load() if self.checkpoint else None
         if manifest is None:
-            return states, 0, health
-        if manifest.get("health"):
-            health = FleetHealth.from_state_dict(manifest["health"])
-        for key, arm in manifest["arms"].items():
-            index = int(key)
-            if self.checkpoint.recover:
-                state, note = self.checkpoint.recover_arm(
-                    index, arm["tests_run"]
-                )
-                if note is not None:
-                    health.dropped_snapshots.append(note)
-                if state is not None:
-                    states[index] = state
-            else:
-                states[index] = self.checkpoint.load_arm(
-                    index, arm["tests_run"]
-                )
+            return {}, 0, FleetHealth()
+        states = {int(key): self.checkpoint.load_arm(int(key),
+                                                     arm["tests_run"])
+                  for key, arm in manifest["arms"].items()}
         if scheduler is not None and manifest["scheduler"] is not None:
             scheduler.load_state_dict(manifest["scheduler"])
+        health = FleetHealth.from_state_dict(manifest.get("health") or {})
         return states, manifest["rounds"], health
 
     def _save_round(self, states: dict[int, dict],

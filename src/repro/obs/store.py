@@ -1,11 +1,13 @@
 """Durable, append-only results store: the fleet's persistent database.
 
 Checkpoints (`repro.fuzzing.fleet.FleetCheckpoint`) answer "where do I
-resume?" — mutable snapshots that are overwritten in place and die with
-their directory.  The store answers "what happened?": an append-only event
-log plus latest-value coverage bitmaps that accumulate across runs, kills,
-resumes and (eventually) remote writers, and that a dashboard or report
-can read *while a fleet writes*.  Layout under one directory::
+resume?" and keep only the last commit: each commit writes new arm
+snapshots, points the manifest at them and deletes the ones they
+replace, and the lot dies with its directory.  The store answers "what
+happened?": an append-only event log plus latest-value coverage bitmaps
+that accumulate across runs, kills, resumes and (eventually) remote
+writers, and that a dashboard or report can read *while a fleet writes*.
+Layout under one directory::
 
     store.json               # {"version": ..., "created": ...}
     events/<writer>.jsonl    # one append-only segment per writer

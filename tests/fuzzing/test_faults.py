@@ -19,8 +19,11 @@ acceptance):
   ``on_arm_quarantined``;
 - crash/resume equality: a fleet killed by an injected crash resumes to
   a bit-identical result (rounds + streaming, in-process + pooled);
-- torn-write recovery: ``checkpoint_recover=True`` resumes past a torn
-  arm snapshot, reporting what was dropped, instead of refusing.
+- the commit rule: the manifest commits a checkpoint, so a fleet killed
+  after its arm files were written but before the manifest named them
+  resumes with default arguments to a bit-identical result, and the
+  cleanup after each commit deletes only the arm files the manifest no
+  longer names.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from repro.fuzzing.faults import (
 )
 from repro.fuzzing.fleet import (
     CampaignSpec,
+    FleetCheckpoint,
     FleetHealth,
     FleetRunner,
     QuarantinedArm,
@@ -238,8 +242,7 @@ class TestHealthRecord:
     def test_state_dict_round_trip(self):
         health = FleetHealth(retries=3, timeouts=1, pool_rebuilds=2,
                              quarantined=[QuarantinedArm(
-                                 1, "bad", "InjectedFault: x", 2, 8)],
-                             dropped_snapshots=["arm 0: snapshot dropped"])
+                                 1, "bad", "InjectedFault: x", 2, 8)])
         clone = FleetHealth.from_state_dict(
             json.loads(json.dumps(health.state_dict()))
         )
@@ -681,63 +684,84 @@ class TestCheckpointHealthRoundTrip:
         assert len(result.health.quarantined) == 1
 
 
-class TestTornWriteRecovery:
-    """Satellite: checkpoint_recover resumes past torn snapshots."""
+class TestCommitRule:
+    """The manifest is a checkpoint's commit point: arm files count only
+    once a manifest names them, and a commit deletes only the arm files
+    it no longer names."""
 
-    def _checkpointed_run(self, tmp_path):
+    @staticmethod
+    def _run(checkpoint_dir, mode):
         return FleetRunner(spec_pair(), n_workers=0,
-                           checkpoint_dir=tmp_path).run_scheduled(
-            RoundRobin(), slice_tests=8, mode="streaming")
+                           checkpoint_dir=checkpoint_dir).run_scheduled(
+            RoundRobin(), slice_tests=8, concurrent_slices=2, mode=mode)
 
-    def test_stale_manifest_recovers_newer_intact_snapshot(self, tmp_path):
-        """Kill between arm writes and the manifest write: the arm files
-        are intact but ahead — recovery resumes from them."""
-        self._checkpointed_run(tmp_path)
-        manifest_path = tmp_path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["arms"]["0"]["tests_run"] -= 8  # manifest one slice behind
-        manifest_path.write_text(json.dumps(manifest))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["rounds", "streaming"])
+    @pytest.mark.parametrize("at", ["save_manifest", "manifest_write"])
+    def test_kill_before_the_commit_resumes_by_default(self, tmp_path,
+                                                       monkeypatch, at,
+                                                       mode, k):
+        """A kill after the arm writes, as the k-th ``save_manifest``
+        starts or as it starts writing the manifest, leaves the last
+        commit whole: a default runner resumes from it."""
+        base = self._run(None, mode)
+        save_manifest = FleetCheckpoint.save_manifest
+        write_atomic = FleetCheckpoint._write_atomic
+        calls = 0
 
-        with pytest.raises(ValueError, match="torn checkpoint"):
-            FleetRunner(spec_pair(), n_workers=0, checkpoint_dir=tmp_path)\
-                .run_scheduled(RoundRobin(), slice_tests=8, mode="streaming")
+        def kill_at_k() -> None:
+            nonlocal calls
+            calls += 1
+            if calls == k:
+                raise InjectedCrash(f"killed at manifest write {k}")
 
-        runner = FleetRunner(spec_pair(), n_workers=0,
-                             checkpoint_dir=tmp_path,
-                             checkpoint_recover=True)
-        result = runner.run_scheduled(RoundRobin(), slice_tests=8,
-                                      mode="streaming")
-        [note] = result.health.dropped_snapshots
-        assert "intact snapshot" in note
-        assert runner.last_stats.slices == 0  # nothing was re-run
-        assert result.campaigns[0].tests_run == 24
+        def killed_save_manifest(self, *args, **kwargs):
+            kill_at_k()
+            save_manifest(self, *args, **kwargs)
 
-    def test_torn_arm_files_drop_the_arm_and_restart_it(self, tmp_path):
-        """Kill mid-arm-write: no intact snapshot exists — the arm is
-        dropped, reported, and re-run from scratch to the same result."""
-        base = self._checkpointed_run(tmp_path)
-        json_path = tmp_path / "campaign_0.json"
-        document = json.loads(json_path.read_text())
-        document["tests_run"] += 8  # now disagrees with .pkl stamp
-        json_path.write_text(json.dumps(document))
+        def killed_write(self, path, data):
+            if path == self.manifest_path:
+                kill_at_k()
+            write_atomic(self, path, data)
 
-        runner = FleetRunner(spec_pair(), n_workers=0,
-                             checkpoint_dir=tmp_path,
-                             checkpoint_recover=True)
-        result = runner.run_scheduled(RoundRobin(), slice_tests=8,
-                                      mode="streaming")
-        [note] = result.health.dropped_snapshots
-        assert "snapshot dropped" in note
-        assert runner.last_stats.slices > 0  # arm 0 really re-ran
-        assert_campaigns_equal(base, result)
+        if at == "save_manifest":
+            monkeypatch.setattr(FleetCheckpoint, "save_manifest",
+                                killed_save_manifest)
+        else:
+            monkeypatch.setattr(FleetCheckpoint, "_write_atomic",
+                                killed_write)
+        with pytest.raises(InjectedCrash):
+            self._run(tmp_path, mode)
+        monkeypatch.undo()
+        # The files the last commit names are all there, beside the arm
+        # files the kill left uncommitted.
+        committed = set()
+        if k > 1:
+            manifest = json.loads((tmp_path / "manifest.json").read_text())
+            committed = {f"campaign_{index}-{arm['tests_run']}.pkl"
+                         for index, arm in manifest["arms"].items()}
+        written = {path.name for path in tmp_path.glob("campaign_*-*.pkl")}
+        assert committed < written
 
-    def test_strict_mode_unchanged_by_default(self, tmp_path):
-        self._checkpointed_run(tmp_path)
-        json_path = tmp_path / "campaign_0.json"
-        document = json.loads(json_path.read_text())
-        document["tests_run"] += 8
-        json_path.write_text(json.dumps(document))
-        with pytest.raises(ValueError, match="torn checkpoint"):
-            FleetRunner(spec_pair(), n_workers=0,
-                        checkpoint_dir=tmp_path).run_scheduled(
-                RoundRobin(), slice_tests=8, mode="streaming")
+        resumed = self._run(tmp_path, mode)
+        assert_campaigns_equal(base, resumed)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "campaign_0-24.pkl", "campaign_1-24.pkl", "manifest.json"]
+
+    def test_missing_arm_file_is_refused(self, tmp_path):
+        self._run(tmp_path, "streaming")
+        (tmp_path / "campaign_0-24.pkl").unlink()
+        with pytest.raises(ValueError, match="campaign_0-24.pkl is missing"):
+            self._run(tmp_path, "streaming")
+
+    def test_commit_deletes_only_unnamed_arm_files(self, tmp_path):
+        others = ["chatfuzz_generators.pkl", "campaign_0.json", "notes.txt"]
+        for name in others:
+            (tmp_path / name).write_text("kept")
+        (tmp_path / "campaign_0-999.pkl").write_text("stale arm file")
+        self._run(tmp_path, "streaming")
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            others + ["campaign_0-24.pkl", "campaign_1-24.pkl",
+                      "manifest.json"])
+        assert all((tmp_path / name).read_text() == "kept"
+                   for name in others)

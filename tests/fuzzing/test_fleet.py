@@ -14,9 +14,11 @@ The load-bearing guarantees (ISSUE acceptance):
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -35,6 +37,7 @@ from repro.fuzzing.fleet import (
     CampaignSpec,
     FleetRunner,
     FleetStats,
+    _fleet_init,
 )
 from repro.fuzzing.scheduler import BanditScheduler, RoundRobin
 from repro.obs.events import ListSink
@@ -562,8 +565,8 @@ class TestCheckpointResume:
                                 mode="streaming", total_tests=8)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["arms"] == {"0": {"tests_run": 8}}
-        assert (tmp_path / "campaign_0.json").exists()
-        assert not (tmp_path / "campaign_1.json").exists()
+        assert (tmp_path / "campaign_0-8.pkl").exists()
+        assert not list(tmp_path.glob("campaign_1-*.pkl"))
 
     def test_whole_budget_resume_skips_completed_arms(self, tmp_path):
         specs = spec_pair(budget=16)
@@ -575,33 +578,30 @@ class TestCheckpointResume:
             second = fleet.run()
         assert second.campaigns == first.campaigns
 
-    def test_checkpoint_files_are_json_plus_bitmap(self, tmp_path):
+    def test_checkpoint_files_are_manifest_plus_arm_pickles(self, tmp_path):
         specs = spec_pair(budget=16)
         with FleetRunner(specs, n_workers=0, checkpoint_dir=tmp_path) as fleet:
             result = fleet.run()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert [int(k) for k in manifest["arms"]] == [0, 1]
         for index, campaign in enumerate(result.campaigns):
-            document = json.loads(
-                (tmp_path / f"campaign_{index}.json").read_text()
+            state = pickle.loads(
+                (tmp_path / f"campaign_{index}-16.pkl").read_bytes()
             )
-            assert document["name"] == campaign.name
-            assert document["tests_run"] == campaign.tests_run
-            assert document["covered_arms"] == len(campaign.final_coverage)
-            cov = (tmp_path / f"campaign_{index}.cov").read_bytes()
-            assert cov == campaign.final_coverage.to_bytes()
-            assert (tmp_path / f"campaign_{index}.pkl").exists()
+            assert state["loop"]["tests_run"] == campaign.tests_run
+            assert state["loop"]["coverage"] == campaign.final_coverage
+            assert state["curve"] == campaign.curve
 
     def test_torn_checkpoint_is_detected(self, tmp_path):
-        """A kill can interleave files from different rounds; every arm
-        artifact carries the round's test count, so the mix is refused."""
+        """An arm file that holds another test count than the manifest
+        names is refused."""
         specs = spec_pair(budget=16)
         with FleetRunner(specs, n_workers=0, checkpoint_dir=tmp_path) as fleet:
             fleet.run()
-        pkl_path = tmp_path / "campaign_0.pkl"
-        opaque = pickle.loads(pkl_path.read_bytes())
-        opaque["tests_run"] += 8  # .pkl from a newer round than manifest/json
-        pkl_path.write_bytes(pickle.dumps(opaque))
+        pkl_path = tmp_path / "campaign_0-16.pkl"
+        state = pickle.loads(pkl_path.read_bytes())
+        state["loop"]["tests_run"] += 8
+        pkl_path.write_bytes(pickle.dumps(state))
         with FleetRunner(specs, n_workers=0, checkpoint_dir=tmp_path) as fleet:
             with pytest.raises(ValueError, match="torn checkpoint"):
                 fleet.run()
@@ -708,6 +708,49 @@ class TestSliceSlots:
         assert result.health.timeouts == 0
         assert result.health.healthy
         assert [c.tests_run for c in result.campaigns] == [8, 8]
+
+
+def _blas_threads() -> int | None:
+    """Threads the loaded OpenBLAS will use, asked from the library, or
+    None when no OpenBLAS is loaded."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps
+                     if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return int(getter())
+    return None
+
+
+class TestWorkerBlasThreads:
+    """A fleet takes its parallelism from worker processes, so each worker
+    runs OpenBLAS on one thread; an in-process fleet leaves the caller's
+    BLAS alone."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_openblas(self):
+        if _blas_threads() is None:
+            pytest.skip("no OpenBLAS loaded")
+
+    def test_pool_worker_runs_one_blas_thread(self):
+        with ProcessPoolExecutor(max_workers=1, initializer=_fleet_init,
+                                 initargs=(spec_pair(),)) as pool:
+            assert pool.submit(_blas_threads).result() == 1
+
+    def test_in_process_fleet_leaves_parent_blas_alone(self):
+        before = _blas_threads()
+        with FleetRunner(spec_pair(budget=8), n_workers=0) as fleet:
+            fleet.run()
+        assert _blas_threads() == before
 
 
 class TestFleetResultAggregation:
